@@ -16,6 +16,16 @@ compositionally: an integral of order (1-beta)(1-alpha), then (1/psi')
 times an ordinary derivative (central differences), then an integral of
 order beta(1-alpha).  Zero-order integrals are the identity.
 
+When psi is affine and the tau nodes are exactly evenly spaced in floating
+point (every dtau_j bitwise equal, e.g. T = 1 with n - 1 a power of two,
+as in every shipped problem), the weights are a convolution: column 0 plus
+shifted copies of column 1.  Such a plan is stored in O(n) and applied by
+FFT in O(n log n).  Every other grid (nonlinear psi, or spacing that is
+even only up to round-off) uses the dense n x n build, about 56*n^2 bytes
+at its peak; when that, or the n x n kernel grid of a nonzero Volterra
+kernel, would exceed physical memory, GridTooLargeError (a ValueError)
+names both figures before anything is allocated.
+
 Grids, plans and grid functions are immutable after construction; all
 operations here are pure functions and safe for concurrent use.
 """
@@ -23,7 +33,8 @@ operations here are pure functions and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +46,10 @@ __all__ = [
     "InvalidOrderError",
     "DegenerateGridError",
     "GridMismatchError",
+    "GridTooLargeError",
     "make_grid",
     "build_plan",
+    "check_memory",
     "frac_integral",
     "hilfer_derivative",
 ]
@@ -54,8 +67,12 @@ class GridMismatchError(ValueError):
     """Operands defined on different grids."""
 
 
-def _readonly(array):
-    out = np.ascontiguousarray(np.asarray(array, dtype=float))
+class GridTooLargeError(ValueError):
+    """An n^2 array the grid needs would not fit in physical memory."""
+
+
+def _readonly(array, dtype=float):
+    out = np.ascontiguousarray(np.asarray(array, dtype=dtype))
     out.flags.writeable = False
     return out
 
@@ -169,11 +186,105 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class QuadraturePlan:
-    """Lower-triangular weights w[i,j] with (I^{mu;psi}f)(t_i) = sum_j w[i,j] f(t_j)."""
+    """Lower-triangular weights w[i,j] with (I^{mu;psi}f)(t_i) = sum_j w[i,j] f(t_j).
+
+    Build plans with build_plan and apply them with apply.  On a grid with
+    exactly even tau spacing only column 0 and the lag vector
+    lags[m] = w[m+1, 1] (every column j >= 1 is a shifted copy of column 1)
+    are stored, together with the lag vector's rFFT, and apply is an FFT
+    convolution in O(n log n).  Every other grid stores the dense matrix.
+    """
 
     mu: float
     grid: PsiGrid
-    weights: np.ndarray
+    _dense: np.ndarray | None = field(default=None, repr=False)
+    _first: np.ndarray | None = field(default=None, repr=False)
+    _lags: np.ndarray | None = field(default=None, repr=False)
+    _spectrum: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def weights(self):
+        """The dense weight matrix; materialized on demand for a Toeplitz plan."""
+        if self._dense is not None:
+            return self._dense
+        n = self.grid.n
+        check_memory(8 * n * n, f"materializing a {n}x{n} weight matrix")
+        # window r of the reversed, zero-padded lags is row n-1-r of
+        # columns 1..n-1: lags[i-1], ..., lags[0], then zeros
+        padded = np.concatenate([np.zeros(n - 1), self._lags])[::-1]
+        dense = np.empty((n, n))
+        dense[:, 0] = self._first
+        dense[:, 1:] = np.lib.stride_tricks.sliding_window_view(padded, n - 1)[::-1]
+        return _readonly(dense)
+
+    def apply(self, x):
+        """Weighted integral of x: W @ x for a vector or an n x P block.
+
+        Keeps the monotonicity of the dense product exactly: x >= 0 gives a
+        result >= 0.  The Toeplitz path convolves the positive and negative
+        parts of x separately and clips each at 0, so FFT round-off cannot
+        turn a nonnegative sum negative.
+        """
+        x = np.asarray(x, dtype=float)
+        if self._dense is not None:
+            return self._dense @ x
+        n = self.grid.n
+        rest = x[1:].reshape(n - 1, -1)
+        parts = np.concatenate([np.maximum(rest, 0.0), np.maximum(-rest, 0.0)], axis=1)
+        size = _fft_length(n)
+        conv = np.fft.irfft(
+            self._spectrum[:, None] * np.fft.rfft(parts, size, axis=0), size, axis=0
+        )[: n - 1]
+        np.maximum(conv, 0.0, out=conv)
+        half = rest.shape[1]
+        out = np.empty((n, half))
+        out[0] = 0.0
+        out[1:] = conv[:, :half] - conv[:, half:]
+        out += self._first[:, None] * x[0]
+        return out.reshape(x.shape)
+
+
+# bytes per n^2 of the dense build, measured at its peak (A, B, g0, g1 and
+# the temporaries of the weight formula)
+DENSE_PLAN_BYTES = 56
+
+
+def check_memory(nbytes, what):
+    """Raise GridTooLargeError when nbytes exceeds the machine's physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise GridTooLargeError(
+            f"{what} needs about {nbytes / 1e9:.3g} GB, more than the "
+            f"{physical / 1e9:.3g} GB of physical memory; use a smaller n"
+        )
+
+
+def _fft_length(n):
+    # smallest power of two >= 2n - 3, the length of the linear convolution
+    # of two length n-1 sequences, so the circular one does not wrap around
+    return 1 << (2 * n - 4).bit_length()
+
+
+def _weight_columns(mu, tau, panels):
+    """Columns 0..panels of the weight matrix, from panels 0..panels-1.
+
+    Column j collects the left-node share of panel j and the right-node
+    share of panel j-1, so columns 0..panels-1 are complete and column
+    `panels` is complete only when it is the last node.
+    """
+    dtau = tau[1 : panels + 1] - tau[:panels]
+    # A, B clipped at 0: panels at or beyond the diagonal contribute nothing
+    A = np.maximum(tau[:, None] - tau[None, :panels], 0.0)
+    B = np.maximum(tau[:, None] - tau[None, 1 : panels + 1], 0.0)
+    g0 = (A**mu - B**mu) / mu
+    g1 = (A ** (mu + 1.0) - B ** (mu + 1.0)) / (mu + 1.0)
+    weights = np.zeros((tau.size, panels + 1))
+    weights[:, :-1] += (g1 - B * g0) / dtau
+    weights[:, 1:] += (A * g0 - g1) / dtau
+    weights /= math.gamma(mu)
+    # analytic weights are >= 0; clip round-off negatives (~1e-18 relative)
+    np.maximum(weights, 0.0, out=weights)
+    return weights
 
 
 def build_plan(mu, grid):
@@ -190,12 +301,17 @@ def build_plan(mu, grid):
     reproduces (psi(t_i)-psi(0))^mu / Gamma(mu+1) on f == 1 exactly up to
     round-off.
 
+    When every dtau_j is bitwise equal, w[i,j] depends only on i-j for
+    j >= 1, and only columns 0 and 1 are computed (O(n) time and memory).
+
     Raises
     ------
     InvalidOrderError
         If mu <= 0.
     DegenerateGridError
         Propagated from grid validation.
+    GridTooLargeError
+        If the dense build on an uneven grid would exceed physical memory.
     """
     if not mu > 0.0:
         raise InvalidOrderError(f"integral order must be positive, got {mu}")
@@ -203,18 +319,19 @@ def build_plan(mu, grid):
     tau = grid.psi_values
     n = grid.n
     dtau = tau[1:] - tau[:-1]
-    # A, B clipped at 0: panels at or beyond the diagonal contribute nothing
-    A = np.maximum(tau[:, None] - tau[None, :-1], 0.0)
-    B = np.maximum(tau[:, None] - tau[None, 1:], 0.0)
-    g0 = (A**mu - B**mu) / mu
-    g1 = (A ** (mu + 1.0) - B ** (mu + 1.0)) / (mu + 1.0)
-    weights = np.zeros((n, n))
-    weights[:, :-1] += (g1 - B * g0) / dtau
-    weights[:, 1:] += (A * g0 - g1) / dtau
-    weights /= math.gamma(mu)
-    # analytic weights are >= 0; clip round-off negatives (~1e-18 relative)
-    np.maximum(weights, 0.0, out=weights)
-    return QuadraturePlan(mu, grid, _readonly(weights))
+    if np.all(dtau == dtau[0]):
+        columns = _weight_columns(mu, tau, min(2, n - 1))
+        lags = columns[1:, 1]
+        spectrum = np.fft.rfft(lags, _fft_length(n))
+        return QuadraturePlan(
+            mu,
+            grid,
+            _first=_readonly(columns[:, 0]),
+            _lags=_readonly(lags),
+            _spectrum=_readonly(spectrum, complex),
+        )
+    check_memory(DENSE_PLAN_BYTES * n * n, f"the dense {n}x{n} quadrature plan")
+    return QuadraturePlan(mu, grid, _dense=_readonly(_weight_columns(mu, tau, n - 1)))
 
 
 def frac_integral(plan, f):
@@ -226,7 +343,7 @@ def frac_integral(plan, f):
     """
     if not same_grid(f.grid, plan.grid):
         raise GridMismatchError("grid function does not live on the plan's grid")
-    return GridFunction(plan.grid, plan.weights @ f.values)
+    return GridFunction(plan.grid, plan.apply(f.values))
 
 
 def hilfer_derivative(order, grid, f):

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, evaluate
+from .exprlang import Expr, Num, evaluate
 from .psicalc import (
     FractionalOrder,
     GridFunction,
     build_plan,
+    check_memory,
     make_grid,
     same_grid,
 )
@@ -184,9 +185,21 @@ def prefactor(spec, grid):
     return GridFunction(grid, values)
 
 
+# bytes per n^2 of the inner Volterra sum: the kernel grid, its running
+# sum and one temporary of the kernel expression (peaks of 8 to 25 were
+# measured, from 0.1*exp(-s)*u to t*s*u*exp(-t*s))
+KERNEL_GRID_BYTES = 24
+
+
 def _inner_volterra(spec, grid, v_values):
-    """Composite-trapezoid inner integrals K_i = int_0^{t_i} k(t_i, s, v(s)) ds."""
+    """Composite-trapezoid inner integrals K_i = int_0^{t_i} k(t_i, s, v(s)) ds.
+
+    The literal kernel 0 gives zeros without evaluating k.
+    """
     n = grid.n
+    if spec.k == Num(0.0):
+        return np.zeros(n)
+    check_memory(KERNEL_GRID_BYTES * n * n, f"the {n}x{n} kernel grid")
     t = grid.t
     kmat = _eval_on(
         spec.k,
@@ -217,11 +230,7 @@ def picard_step(spec, plan_alpha, v):
         raise ValueError("iterate does not live on the plan's grid")
     f_vals = _eval_on(spec.f, (grid.n,), {"t": grid.t, "u": v.values})
     inner = _inner_volterra(spec, grid, v.values)
-    total = (
-        prefactor(spec, grid).values
-        + plan_alpha.weights @ f_vals
-        + plan_alpha.weights @ inner
-    )
+    total = prefactor(spec, grid).values + plan_alpha.apply(f_vals + inner)
     return GridFunction(grid, total)
 
 

@@ -147,7 +147,7 @@ def estimate_M(spec, plan_alpha):
     """
     grid = plan_alpha.grid
     phi = _phi_values(spec, grid)
-    ratios = (plan_alpha.weights @ phi)[1:] / phi[1:]
+    ratios = plan_alpha.apply(phi)[1:] / phi[1:]
     return float(np.max(ratios))
 
 
@@ -223,7 +223,7 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
             f"|delta| exceeds the envelope at node {worst} "
             f"(t={grid.t[worst]:.6g}) by {float(excess[worst]):.3e}"
         )
-    forcing = plan_alpha.weights @ delta_vals
+    forcing = plan_alpha.apply(delta_vals)
     report = solve(spec, tol, max_iter, plan=plan_alpha, forcing=forcing)
     return report.solution
 
@@ -305,6 +305,8 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
     # quadrature slack from one refinement: same problem on 2(n-1)+1 nodes
     fine_spec = _with_n(spec, 2 * (spec.n - 1) + 1)
     fine = solve(fine_spec, tol, max_iter)
+    if not fine.converged:
+        warnings.append("refinement solve did not converge within max_iter")
     nodes = check_nodes(spec)
     quad_err = float(
         np.max(np.abs(base.solution.values - fine.solution.values[::2])[nodes])
@@ -324,9 +326,12 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
         empirical_max = max(empirical_max, float(np.max(checked_dev)))
         margins.append(float(np.max(checked_dev - bound.values[nodes])))
 
-    certified = len(margins) > 0 and all(m <= slack for m in margins)
-    if base.converged is False:
-        certified = False
+    certified = (
+        base.converged
+        and fine.converged
+        and len(margins) > 0
+        and all(m <= slack for m in margins)
+    )
     return StabilityCertificate(
         mode=spec.mode,
         M=m_used,

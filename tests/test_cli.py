@@ -393,6 +393,27 @@ def test_sweep_invalid_value_continues(capsys, problems_dir, tmp_path):
     assert rows[1][1:6] == [""] * 5
 
 
+def test_grid_too_large_for_memory_is_an_input_error(capsys, base_hu_doc, write_config, tmp_path):
+    # psi = t + t^2 has uneven tau spacing, so the plan is dense: ~56 TB
+    base_hu_doc["functions"]["psi"] = "t + t^2"
+    config = write_config(base_hu_doc)
+    code, _, err = run(
+        capsys, "solve", "--config", config,
+        "--out", str(tmp_path / "s.csv"), "--n", "1000000",
+    )
+    assert code == 1
+    assert "GB" in err and "physical memory" in err
+    out = str(tmp_path / "sweep.csv")
+    code, _, _ = run(
+        capsys, "sweep", "--config", config,
+        "--param", "n", "--values", "65,1000000", "--out", out,
+    )
+    assert code == 0
+    rows = sweep_rows(out)
+    assert rows[0][6] == "ok"
+    assert rows[1][6].startswith("invalid value") and "physical memory" in rows[1][6]
+
+
 def test_sweep_hypothesis_failure_row(capsys, problems_dir, tmp_path):
     # large T pushes the contraction factor past 1: degenerate denominator
     out = str(tmp_path / "sweep.csv")

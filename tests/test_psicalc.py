@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracstab.psicalc import (
@@ -10,8 +11,10 @@ from fracstab.psicalc import (
     FractionalOrder,
     GridFunction,
     GridMismatchError,
+    GridTooLargeError,
     InvalidOrderError,
     PsiGrid,
+    _weight_columns,
     build_plan,
     frac_integral,
     hilfer_derivative,
@@ -192,15 +195,76 @@ def test_linearity_to_roundoff():
     assert np.abs(lhs.values - rhs).max() < 1e-13
 
 
-_GRID17 = make_grid(1.0, 17, lambda t: t + 0.5 * t**2)
-_PLAN17 = build_plan(0.5, _GRID17)
+# one plan per storage: dense (uneven tau spacing) and Toeplitz (even)
+_PLANS17 = (
+    build_plan(0.5, make_grid(1.0, 17, lambda t: t + 0.5 * t**2)),
+    build_plan(0.5, make_grid(1.0, 17, lambda t: t)),
+)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=17, max_size=17))
+# leading zeros: FFT round-off alone would leave those outputs at about -1e-15
+@example([0.0] * 16 + [10.0])
+@example([0.0] * 8 + [10.0] * 9)
 def test_monotonicity_nonnegative_inputs(values):
-    out = frac_integral(_PLAN17, GridFunction(_GRID17, np.array(values)))
-    assert np.all(out.values >= 0.0)
+    for plan in _PLANS17:
+        out = frac_integral(plan, GridFunction(plan.grid, np.array(values)))
+        assert np.all(out.values >= 0.0)
+
+
+def _dense_reference(mu, grid):
+    # the dense build, which uneven grids use, computed on any grid
+    return _weight_columns(mu, grid.psi_values, grid.n - 1)
+
+
+@pytest.mark.parametrize("psi_name", ["identity", "scaled"])
+@pytest.mark.parametrize("n", [17, 513, 4097])
+@pytest.mark.parametrize("mu", [0.3, 0.5, 0.99])
+def test_toeplitz_plan_matches_dense_build(psi_name, n, mu):
+    g = make_grid(1.0, n, PSI_CHOICES[psi_name])
+    plan = build_plan(mu, g)
+    dense = _dense_reference(mu, g)
+    assert plan._dense is None
+    assert np.array_equal(plan.weights, dense)
+    # the FFT apply sums in another order: round-off relative to |W| |x|
+    norm = np.abs(dense).sum(axis=1).max()
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(size=n), rng.normal(size=(n, 5))):
+        out = plan.apply(x)
+        assert out.shape == x.shape
+        assert np.abs(out - dense @ x).max() <= 1e-14 * norm * np.abs(x).max()
+
+
+@pytest.mark.parametrize(
+    "T, n, psi",
+    [
+        (1.0, 1000, lambda t: t + t**2),
+        (1.0, 1000, lambda t: np.exp(t) - 1.0),
+        (1.3, 1000, lambda t: t),
+    ],
+)
+def test_uneven_tau_spacing_takes_dense_path(T, n, psi):
+    # a lag-based plan on a nearly even grid misses the 1e-12 row-sum gate
+    g = make_grid(T, n, psi)
+    plan = build_plan(0.5, g)
+    assert plan._dense is not None
+    assert np.array_equal(plan.weights, _dense_reference(0.5, g))
+    x = np.cos(g.t)
+    assert np.array_equal(plan.apply(x), plan.weights @ x)
+
+
+def test_dense_plan_too_large_for_memory_rejected_before_allocating():
+    g = make_grid(1.0, 1_000_000, lambda t: t + t**2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match=r"needs about 5\.6e\+04 GB.*physical memory"):
+            build_plan(0.5, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(n) temporaries only: the smallest n^2 array would be 8 TB
+    assert peak < 16 * 8 * g.n
 
 
 def test_classical_reduction_against_textbook_oracle():

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import fracstab.solver as solver_module
 from fracstab.exprlang import EvalError, parse
-from fracstab.psicalc import FractionalOrder, GridFunction, build_plan
+from fracstab.psicalc import (
+    FractionalOrder,
+    GridFunction,
+    GridTooLargeError,
+    build_plan,
+)
 from fracstab.solver import (
     NonContractiveError,
     ProblemSpec,
@@ -123,8 +129,43 @@ def test_zero_kernel_identical_to_omitting_inner_integral():
     v = GridFunction(grid, np.cos(grid.t))
     stepped = picard_step(spec, plan, v)
     # the inner integral omitted entirely, by hand
-    manual = prefactor(spec, grid).values + plan.weights @ (-v.values / 3.0)
+    manual = prefactor(spec, grid).values + plan.apply(-v.values / 3.0)
     assert np.array_equal(stepped.values, manual)
+
+
+def test_zero_kernel_is_never_evaluated(monkeypatch):
+    spec = make_spec(k="0", n=65)
+    evaluated = []
+    real = solver_module.evaluate
+
+    def spy(expr, bindings):
+        evaluated.append(sorted(bindings))
+        return real(expr, bindings)
+
+    monkeypatch.setattr(solver_module, "evaluate", spy)
+    assert solve(spec).converged
+    assert evaluated and all("s" not in names for names in evaluated)
+
+
+@pytest.mark.parametrize("psi", ["t", "t + t^2"])
+def test_one_apply_step_matches_two_matvec_formula(psi):
+    spec = make_spec(f="-u/2 + sin(t)/4", k="0.1*exp(-s)*u", L_f=0.5,
+                     L_k=0.1, psi=psi, n=257)
+    grid = problem_grid(spec)
+    plan = build_plan(0.5, grid)
+    v = GridFunction(grid, np.cos(grid.t))
+    stepped = picard_step(spec, plan, v)
+    f_vals = -v.values / 2.0 + np.sin(grid.t) / 4.0
+    inner = solver_module._inner_volterra(spec, grid, v.values)
+    assert np.abs(inner).max() > 0.01
+    two = prefactor(spec, grid).values + plan.weights @ f_vals + plan.weights @ inner
+    assert np.abs(stepped.values - two).max() <= 1e-14
+
+
+def test_kernel_grid_too_large_for_memory_rejected():
+    spec = make_spec(k="0.1*exp(-s)*u", L_k=0.1, n=1_000_000)
+    with pytest.raises(GridTooLargeError, match="kernel grid needs about 2.4e\\+04 GB"):
+        solver_module._inner_volterra(spec, problem_grid(spec), np.zeros(spec.n))
 
 
 def test_eval_errors_propagate():

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import fracstab.stability as stability_module
 from fracstab.cli import load_problem
 from fracstab.exprlang import parse
 from fracstab.psicalc import FractionalOrder, GridFunction, build_plan
@@ -211,6 +213,23 @@ def test_verify_zero_perturbations_never_certifies():
     cert = verify(spec, 0, rng_seed=0)
     assert cert.perturbations_tested == 0
     assert not cert.certified
+
+
+def test_verify_unconverged_refinement_solve_blocks_certification(monkeypatch):
+    spec = make_spec(epsilon=0.01, n=65)
+    real = stability_module.solve
+
+    def solve_refine_unconverged(spec, *args, **kwargs):
+        report = real(spec, *args, **kwargs)
+        if kwargs.get("plan") is None:  # the refinement solve builds its own plan
+            report = dataclasses.replace(report, converged=False)
+        return report
+
+    monkeypatch.setattr(stability_module, "solve", solve_refine_unconverged)
+    cert = verify(spec, 4, rng_seed=0)
+    assert not cert.certified
+    assert "refinement solve did not converge within max_iter" in cert.warnings
+    assert all(m <= cert.slack for m in cert.margins)
 
 
 def test_verify_deterministic():
