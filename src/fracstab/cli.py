@@ -39,7 +39,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .exprlang import ExprError, parse
-from .psicalc import DegenerateGridError, FractionalOrder, InvalidOrderError
+from .psicalc import FractionalOrder, InvalidOrderError
 from .solver import NonContractiveError, ProblemSpec, solve
 from .stability import (
     ContractionViolatedError,
@@ -53,6 +53,14 @@ EXIT_HYPOTHESIS = 2
 EXIT_NOT_CERTIFIED = 3
 
 SWEEP_PARAMS = ("alpha", "beta", "T", "epsilon", "n")
+
+# failed hypotheses of the theorem: exit 2, sweep status "hypothesis
+# failure"; every input error (exit 1, "invalid value") is a ValueError
+HYPOTHESIS_ERRORS = (
+    NonContractiveError,
+    ContractionViolatedError,
+    DegenerateDenominatorError,
+)
 
 
 class ConfigError(ValueError):
@@ -300,19 +308,9 @@ def _sweep_row(base_doc, param, raw_value, seed_override, n_override):
             tol=options["tol"],
             max_iter=options["max_iter"],
         )
-    except (
-        ConfigError,
-        ExprError,
-        InvalidOrderError,
-        DegenerateGridError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         return [_fmt_param(value, param), "", "", "", "", "", f"invalid value: {exc}"]
-    except (
-        NonContractiveError,
-        ContractionViolatedError,
-        DegenerateDenominatorError,
-    ) as exc:
+    except HYPOTHESIS_ERRORS as exc:
         return [_fmt_param(value, param), "", "", "", "", "", f"hypothesis failure: {exc}"]
     return [
         _fmt_param(value, param),
@@ -410,14 +408,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, ExprError, DegenerateGridError, InvalidOrderError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        NonContractiveError,
-        ContractionViolatedError,
-        DegenerateDenominatorError,
-    ) as exc:
+    except HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 

@@ -4,27 +4,25 @@ This module discretizes the psi-weighted Riemann-Liouville integral
 
     (I^{mu;psi} f)(t) = (1/Gamma(mu)) * int_0^t psi'(xi) (psi(t)-psi(xi))^(mu-1) f(xi) dxi
 
-on a uniform grid in t.  The substitution tau = psi(xi) removes psi' from
-the integrand and reduces the kernel to (psi(t)-tau)^(mu-1) on the
-nonuniform abscissae tau_j = psi(t_j); the smooth factor is interpolated
+on a grid whose nodes are uniform in tau = psi(t): tau_i = psi(0) + i*dtau.
+The substitution tau = psi(xi) removes psi' from the integrand and reduces
+the kernel to (tau_i - tau)^(mu-1); the smooth factor is interpolated
 linearly in tau and the kernel is integrated exactly on each panel
 (product-trapezoidal rule).  The resulting weights are nonnegative and
-reproduce (psi(t_i)-psi(0))^mu / Gamma(mu+1) exactly on f == 1.
+reproduce (psi(t_i)-psi(0))^mu / Gamma(mu+1) on f == 1 to round-off.
+
+Because the tau spacing is uniform for every increasing psi, the weights
+are a convolution: w[i,j] depends only on i - j for j >= 1.  Every plan is
+stored in O(n) (column 0 and the lag vector) and applied by FFT in
+O(n log n).  The only n x n array left is the kernel grid of a nonzero
+Volterra kernel in the solver; when that would exceed physical memory,
+GridTooLargeError (a ValueError) names both figures before anything is
+allocated.
 
 The two-parameter derivative of type (alpha, beta) is evaluated
-compositionally: an integral of order (1-beta)(1-alpha), then (1/psi')
-times an ordinary derivative (central differences), then an integral of
-order beta(1-alpha).  Zero-order integrals are the identity.
-
-When psi is affine and the tau nodes are exactly evenly spaced in floating
-point (every dtau_j bitwise equal, e.g. T = 1 with n - 1 a power of two,
-as in every shipped problem), the weights are a convolution: column 0 plus
-shifted copies of column 1.  Such a plan is stored in O(n) and applied by
-FFT in O(n log n).  Every other grid (nonlinear psi, or spacing that is
-even only up to round-off) uses the dense n x n build, about 56*n^2 bytes
-at its peak; when that, or the n x n kernel grid of a nonzero Volterra
-kernel, would exceed physical memory, GridTooLargeError (a ValueError)
-names both figures before anything is allocated.
+compositionally: an integral of order (1-beta)(1-alpha), then d/dtau
+(central differences on the uniform tau grid), then an integral of order
+beta(1-alpha).  Zero-order integrals are the identity.
 
 Grids, plans and grid functions are immutable after construction; all
 operations here are pure functions and safe for concurrent use.
@@ -102,28 +100,31 @@ class FractionalOrder:
 
 @dataclass(frozen=True)
 class PsiGrid:
-    """Uniform grid t_i = i*T/(n-1) with sampled weight function values.
+    """Nodes 0 = t_0 < ... < t_{n-1} = T, uniform in tau = psi(t).
 
-    psi_prime_values are obtained by second-order finite differences
-    (central in the interior, one-sided at the endpoints); they enter only
-    the derivative operator, never the integral weights.
+    psi_values holds tau_i = psi(0) + i*dtau (the last one is psi(T)), and
+    t_i is the smallest float with psi(t_i) >= tau_i; for affine psi on a
+    grid with exact spacing this is np.linspace(0, T, n).  Build grids
+    with make_grid.
     """
 
     T: float
     n: int
     t: np.ndarray
     psi_values: np.ndarray
-    psi_prime_values: np.ndarray
 
-    def __post_init__(self):
-        if np.any(np.diff(self.psi_values) <= 0.0):
-            raise DegenerateGridError("psi values must be strictly increasing")
-        if np.any(self.psi_prime_values <= 0.0):
-            raise DegenerateGridError("psi' must be positive on the grid")
+    @property
+    def dtau(self):
+        """The uniform spacing (psi(T) - psi(0))/(n - 1) of the tau nodes."""
+        return (self.psi_values[-1] - self.psi_values[0]) / (self.n - 1)
 
 
 def make_grid(T, n, psi):
     """Build a PsiGrid from a horizon, node count and weight function.
+
+    Each interior t_i is found by bisection between the two nodes of
+    np.linspace(0, T, n) whose psi values bracket tau_i, all nodes at once,
+    down to adjacent floats.
 
     Parameters
     ----------
@@ -132,26 +133,39 @@ def make_grid(T, n, psi):
     n : int
         Number of nodes, at least 2.
     psi : callable
-        Increasing C^1 weight function; called with the full node array
-        and expected to return an array of the same shape.
+        Increasing weight function; called with arrays of nodes and
+        expected to return an array of the same shape.
     """
     if not T > 0.0:
         raise DegenerateGridError(f"horizon T must be positive, got {T}")
     if n < 2:
         raise DegenerateGridError(f"need at least 2 nodes, got {n}")
-    t = np.linspace(0.0, float(T), int(n))
-    psi_values = np.asarray(psi(t), dtype=float)
-    if psi_values.shape != t.shape or not np.all(np.isfinite(psi_values)):
+    bracket = np.linspace(0.0, float(T), int(n))
+    psi_bracket = np.asarray(psi(bracket), dtype=float)
+    if psi_bracket.shape != bracket.shape or not np.all(np.isfinite(psi_bracket)):
         raise DegenerateGridError("psi must return finite values on the grid")
-    h = t[1] - t[0]
-    prime = np.empty_like(psi_values)
-    if n == 2:
-        prime[:] = (psi_values[1] - psi_values[0]) / h
-    else:
-        prime[1:-1] = (psi_values[2:] - psi_values[:-2]) / (2.0 * h)
-        prime[0] = (-3.0 * psi_values[0] + 4.0 * psi_values[1] - psi_values[2]) / (2.0 * h)
-        prime[-1] = (3.0 * psi_values[-1] - 4.0 * psi_values[-2] + psi_values[-3]) / (2.0 * h)
-    return PsiGrid(float(T), int(n), _readonly(t), _readonly(psi_values), _readonly(prime))
+    if np.any(np.diff(psi_bracket) <= 0.0):
+        raise DegenerateGridError("psi values must be strictly increasing")
+    dtau = (psi_bracket[-1] - psi_bracket[0]) / (n - 1)
+    tau = psi_bracket[0] + np.arange(n) * dtau
+    tau[-1] = psi_bracket[-1]
+    # invariant psi(lo) < tau <= psi(hi); stop when lo and hi are adjacent
+    above = np.searchsorted(psi_bracket, tau[1:-1])
+    lo, hi = bracket[above - 1], bracket[above]
+    # where the float just below hi already falls short, hi is the answer
+    # (every node of an affine psi on an exactly spaced linspace)
+    below = np.nextafter(hi, lo)
+    lo = np.where(np.asarray(psi(below), dtype=float) < tau[1:-1], below, lo)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        active = (lo < mid) & (mid < hi)
+        if not active.any():
+            break
+        reached = np.asarray(psi(mid), dtype=float) >= tau[1:-1]
+        hi = np.where(active & reached, mid, hi)
+        lo = np.where(active & ~reached, mid, lo)
+    t = np.concatenate([[0.0], hi, [float(T)]])
+    return PsiGrid(float(T), int(n), _readonly(t), _readonly(tau))
 
 
 def same_grid(a, b):
@@ -188,25 +202,21 @@ class GridFunction:
 class QuadraturePlan:
     """Lower-triangular weights w[i,j] with (I^{mu;psi}f)(t_i) = sum_j w[i,j] f(t_j).
 
-    Build plans with build_plan and apply them with apply.  On a grid with
-    exactly even tau spacing only column 0 and the lag vector
-    lags[m] = w[m+1, 1] (every column j >= 1 is a shifted copy of column 1)
-    are stored, together with the lag vector's rFFT, and apply is an FFT
-    convolution in O(n log n).  Every other grid stores the dense matrix.
+    Build plans with build_plan and apply them with apply.  Every column
+    j >= 1 is a shifted copy of column 1, so only column 0 and the lag
+    vector lags[m] = w[m+1, 1] are stored, together with the lag vector's
+    rFFT, and apply is an FFT convolution in O(n log n).
     """
 
     mu: float
     grid: PsiGrid
-    _dense: np.ndarray | None = field(default=None, repr=False)
-    _first: np.ndarray | None = field(default=None, repr=False)
-    _lags: np.ndarray | None = field(default=None, repr=False)
-    _spectrum: np.ndarray | None = field(default=None, repr=False)
+    _first: np.ndarray = field(repr=False)
+    _lags: np.ndarray = field(repr=False)
+    _spectrum: np.ndarray = field(repr=False)
 
     @property
     def weights(self):
-        """The dense weight matrix; materialized on demand for a Toeplitz plan."""
-        if self._dense is not None:
-            return self._dense
+        """The dense weight matrix, materialized on demand."""
         n = self.grid.n
         check_memory(8 * n * n, f"materializing a {n}x{n} weight matrix")
         # window r of the reversed, zero-padded lags is row n-1-r of
@@ -221,13 +231,11 @@ class QuadraturePlan:
         """Weighted integral of x: W @ x for a vector or an n x P block.
 
         Keeps the monotonicity of the dense product exactly: x >= 0 gives a
-        result >= 0.  The Toeplitz path convolves the positive and negative
-        parts of x separately and clips each at 0, so FFT round-off cannot
-        turn a nonnegative sum negative.
+        result >= 0.  The positive and negative parts of x are convolved
+        separately and each is clipped at 0, so FFT round-off cannot turn
+        a nonnegative sum negative.
         """
         x = np.asarray(x, dtype=float)
-        if self._dense is not None:
-            return self._dense @ x
         n = self.grid.n
         rest = x[1:].reshape(n - 1, -1)
         parts = np.concatenate([np.maximum(rest, 0.0), np.maximum(-rest, 0.0)], axis=1)
@@ -242,11 +250,6 @@ class QuadraturePlan:
         out[1:] = conv[:, :half] - conv[:, half:]
         out += self._first[:, None] * x[0]
         return out.reshape(x.shape)
-
-
-# bytes per n^2 of the dense build, measured at its peak (A, B, g0, g1 and
-# the temporaries of the weight formula)
-DENSE_PLAN_BYTES = 56
 
 
 def check_memory(nbytes, what):
@@ -265,20 +268,20 @@ def _fft_length(n):
     return 1 << (2 * n - 4).bit_length()
 
 
-def _weight_columns(mu, tau, panels):
-    """Columns 0..panels of the weight matrix, from panels 0..panels-1.
+def _weight_columns(mu, dtau, n, panels):
+    """Columns 0..panels of the n-row weight matrix, from panels 0..panels-1.
 
     Column j collects the left-node share of panel j and the right-node
     share of panel j-1, so columns 0..panels-1 are complete and column
     `panels` is complete only when it is the last node.
     """
-    dtau = tau[1 : panels + 1] - tau[:panels]
+    lag = np.arange(n)[:, None] - np.arange(panels)[None, :]
     # A, B clipped at 0: panels at or beyond the diagonal contribute nothing
-    A = np.maximum(tau[:, None] - tau[None, :panels], 0.0)
-    B = np.maximum(tau[:, None] - tau[None, 1 : panels + 1], 0.0)
+    A = np.maximum(lag, 0) * dtau
+    B = np.maximum(lag - 1, 0) * dtau
     g0 = (A**mu - B**mu) / mu
     g1 = (A ** (mu + 1.0) - B ** (mu + 1.0)) / (mu + 1.0)
-    weights = np.zeros((tau.size, panels + 1))
+    weights = np.zeros((n, panels + 1))
     weights[:, :-1] += (g1 - B * g0) / dtau
     weights[:, 1:] += (A * g0 - g1) / dtau
     weights /= math.gamma(mu)
@@ -291,47 +294,35 @@ def build_plan(mu, grid):
     """Product-trapezoidal weights for the order-mu weighted integral.
 
     On each panel [tau_j, tau_{j+1}] the integrand factor is interpolated
-    linearly in tau = psi(xi) and the kernel (psi(t_i)-tau)^(mu-1) is
-    integrated in closed form.  With A = psi(t_i)-tau_j, B = psi(t_i)-tau_{j+1},
+    linearly in tau = psi(xi) and the kernel (tau_i - tau)^(mu-1) is
+    integrated in closed form.  With A = max(i-j, 0)*dtau and
+    B = max(i-j-1, 0)*dtau,
 
         g0 = (A^mu - B^mu)/mu,        g1 = (A^(mu+1) - B^(mu+1))/(mu+1),
 
-    the panel contributes (g1 - B*g0)/dtau_j to node j and (A*g0 - g1)/dtau_j
+    the panel contributes (g1 - B*g0)/dtau to node j and (A*g0 - g1)/dtau
     to node j+1, all divided by Gamma(mu).  Panel sums telescope, so row i
-    reproduces (psi(t_i)-psi(0))^mu / Gamma(mu+1) on f == 1 exactly up to
-    round-off.
-
-    When every dtau_j is bitwise equal, w[i,j] depends only on i-j for
-    j >= 1, and only columns 0 and 1 are computed (O(n) time and memory).
+    reproduces (i*dtau)^mu / Gamma(mu+1) on f == 1 up to round-off.  Taking
+    A and B from integer lags makes w[i,j] depend only on i-j for j >= 1,
+    so only columns 0 and 1 are computed (O(n) time and memory).
 
     Raises
     ------
     InvalidOrderError
         If mu <= 0.
-    DegenerateGridError
-        Propagated from grid validation.
-    GridTooLargeError
-        If the dense build on an uneven grid would exceed physical memory.
     """
     if not mu > 0.0:
         raise InvalidOrderError(f"integral order must be positive, got {mu}")
-    mu = float(mu)
-    tau = grid.psi_values
     n = grid.n
-    dtau = tau[1:] - tau[:-1]
-    if np.all(dtau == dtau[0]):
-        columns = _weight_columns(mu, tau, min(2, n - 1))
-        lags = columns[1:, 1]
-        spectrum = np.fft.rfft(lags, _fft_length(n))
-        return QuadraturePlan(
-            mu,
-            grid,
-            _first=_readonly(columns[:, 0]),
-            _lags=_readonly(lags),
-            _spectrum=_readonly(spectrum, complex),
-        )
-    check_memory(DENSE_PLAN_BYTES * n * n, f"the dense {n}x{n} quadrature plan")
-    return QuadraturePlan(mu, grid, _dense=_readonly(_weight_columns(mu, tau, n - 1)))
+    columns = _weight_columns(float(mu), grid.dtau, n, min(2, n - 1))
+    lags = columns[1:, 1]
+    return QuadraturePlan(
+        float(mu),
+        grid,
+        _readonly(columns[:, 0]),
+        _readonly(lags),
+        _readonly(np.fft.rfft(lags, _fft_length(n)), complex),
+    )
 
 
 def frac_integral(plan, f):
@@ -350,9 +341,10 @@ def hilfer_derivative(order, grid, f):
     """Two-parameter fractional derivative of type (alpha, beta).
 
     Evaluates the composition: integral of order (1-beta)(1-alpha), then
-    (1/psi') d/dt by second-order finite differences, then integral of
-    order beta(1-alpha).  Zero-order integrals are the identity, so beta=1
-    gives the Caputo-type form and beta=0 the Riemann-Liouville-type form.
+    d/dtau by second-order finite differences on the uniform tau grid
+    (the chain rule's (1/psi') d/dt), then integral of order beta(1-alpha).
+    Zero-order integrals are the identity, so beta=1 gives the Caputo-type
+    form and beta=0 the Riemann-Liouville-type form.
 
     Accuracy relies on f being smooth; near t=0 the composition inherits a
     weak singularity from the inner integral, so errors concentrate at the
@@ -372,13 +364,12 @@ def hilfer_derivative(order, grid, f):
         # node 1 and the node-0 slope is extrapolated
         dg = np.empty(grid.n)
         dg[1:] = np.gradient(
-            g.values[1:], grid.t[1:], edge_order=2 if grid.n >= 4 else 1
+            g.values[1:], grid.dtau, edge_order=2 if grid.n >= 4 else 1
         )
         dg[0] = dg[1]
     else:
-        g = f
-        dg = np.gradient(g.values, grid.t, edge_order=2 if grid.n >= 3 else 1)
-    h = GridFunction(grid, dg / grid.psi_prime_values)
+        dg = np.gradient(f.values, grid.dtau, edge_order=2 if grid.n >= 3 else 1)
+    h = GridFunction(grid, dg)
     if outer > 0.0:
         return frac_integral(build_plan(outer, grid), h)
     return h

@@ -139,7 +139,7 @@ def _eval_on(expr, shape, bindings):
 
 
 def problem_grid(spec):
-    """Build the uniform grid for a problem, sampling its weight function."""
+    """Build the problem's grid, nodes uniform in psi(t)."""
     return make_grid(spec.T, spec.n, lambda t: _eval_on(spec.psi, t.shape, {"t": t}))
 
 
@@ -185,16 +185,17 @@ def prefactor(spec, grid):
     return GridFunction(grid, values)
 
 
-# bytes per n^2 of the inner Volterra sum: the kernel grid, its running
-# sum and one temporary of the kernel expression (peaks of 8 to 25 were
-# measured, from 0.1*exp(-s)*u to t*s*u*exp(-t*s))
+# bytes per n^2 of the inner Volterra sum: the kernel grid, its lower
+# triangle and one temporary of the kernel expression
 KERNEL_GRID_BYTES = 24
 
 
 def _inner_volterra(spec, grid, v_values):
     """Composite-trapezoid inner integrals K_i = int_0^{t_i} k(t_i, s, v(s)) ds.
 
-    The literal kernel 0 gives zeros without evaluating k.
+    Row i sums the lower triangle of the kernel grid against the trapezoid
+    weights of the whole grid, then takes off the half-panel beyond t_i
+    (panel i).  The literal kernel 0 gives zeros without evaluating k.
     """
     n = grid.n
     if spec.k == Num(0.0):
@@ -206,11 +207,13 @@ def _inner_volterra(spec, grid, v_values):
         (n, n),
         {"t": t[:, None], "s": t[None, :], "u": v_values[None, :]},
     )
-    h = t[1] - t[0]
-    running = np.diagonal(np.cumsum(kmat, axis=1))
-    inner = h * (running - 0.5 * (kmat[:, 0] + np.diagonal(kmat)))
-    inner[0] = 0.0
-    return inner
+    h = np.diff(t)
+    # panel widths with the end panels repeated: node j weighs half of each
+    # neighbouring panel, the end nodes a whole end panel
+    widths = np.concatenate([h[:1], h, h[-1:]])
+    weights = 0.5 * (widths[:-1] + widths[1:])
+    ends = 0.5 * (h[0] * kmat[:, 0] + widths[1:] * np.diagonal(kmat))
+    return np.einsum("ij,j->i", np.tril(kmat), weights) - ends
 
 
 def picard_step(spec, plan_alpha, v):

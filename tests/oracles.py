@@ -82,3 +82,37 @@ def load_ml_oracle():
             ts.append(float(row["t"]))
             us.append(float(row["u_exact"]))
     return np.array(ts), np.array(us)
+
+
+def tau_difference_weights(mu, tau):
+    """Dense product-trapezoid weights from differences of the stored tau nodes.
+
+    The product-trapezoid formula with A = max(tau_i - tau_j, 0) and
+    B = max(tau_i - tau_{j+1}, 0) on any increasing abscissae, where the
+    library takes A and B from integer lags times a uniform spacing.  On
+    grids where the tau differences are exact (psi = t or 2t, T = 1, n - 1
+    a power of two) the two must agree bitwise.
+    """
+    tau = np.asarray(tau, dtype=float)
+    panels = tau.size - 1
+    dtau = tau[1:] - tau[:-1]
+    A = np.maximum(tau[:, None] - tau[None, :panels], 0.0)
+    B = np.maximum(tau[:, None] - tau[None, 1:], 0.0)
+    g0 = (A**mu - B**mu) / mu
+    g1 = (A ** (mu + 1.0) - B ** (mu + 1.0)) / (mu + 1.0)
+    weights = np.zeros((tau.size, tau.size))
+    weights[:, :-1] += (g1 - B * g0) / dtau
+    weights[:, 1:] += (A * g0 - g1) / dtau
+    weights /= math.gamma(mu)
+    np.maximum(weights, 0.0, out=weights)
+    return weights
+
+
+def erfc_relaxation(tau):
+    """Exact solution exp(tau)*erfc(sqrt(tau)) of the half-order relaxation.
+
+    For alpha = 1/2, beta = 1, sigma = 1 and f = -u the solution is
+    E_{1/2}(-tau^{1/2}) with tau = psi(t) - psi(0), for any increasing psi,
+    and E_{1/2}(-sqrt(x)) = exp(x)*erfc(sqrt(x)).
+    """
+    return np.array([math.exp(x) * math.erfc(math.sqrt(x)) for x in np.atleast_1d(tau)])

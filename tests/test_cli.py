@@ -394,15 +394,16 @@ def test_sweep_invalid_value_continues(capsys, problems_dir, tmp_path):
 
 
 def test_grid_too_large_for_memory_is_an_input_error(capsys, base_hu_doc, write_config, tmp_path):
-    # psi = t + t^2 has uneven tau spacing, so the plan is dense: ~56 TB
-    base_hu_doc["functions"]["psi"] = "t + t^2"
+    # a nonzero kernel needs an n x n kernel grid: ~24 TB at n = 10^6
+    base_hu_doc["functions"]["k"] = "0.1*exp(-s)*u"
+    base_hu_doc["constants"]["L_k"] = 0.1
     config = write_config(base_hu_doc)
     code, _, err = run(
         capsys, "solve", "--config", config,
         "--out", str(tmp_path / "s.csv"), "--n", "1000000",
     )
     assert code == 1
-    assert "GB" in err and "physical memory" in err
+    assert "kernel grid" in err and "GB" in err and "physical memory" in err
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run(
         capsys, "sweep", "--config", config,

@@ -23,7 +23,7 @@ from fracstab.solver import (
     problem_grid,
     solve,
 )
-from oracles import classical_rl_product_trapezoid, ml_solution
+from oracles import classical_rl_product_trapezoid, erfc_relaxation, ml_solution
 
 
 def make_spec(f="-u/2", k="0", alpha=0.5, beta=1.0, T=1.0, n=129, sigma=1.0,
@@ -194,6 +194,20 @@ def test_mittag_leffler_solution():
     # the solution has a sqrt-cusp at 0, so error concentrates at node 1
     assert np.abs(report.solution.values - exact).max() < 5e-4
     assert abs(report.solution.values[-1] - 0.4275835761558071) < 1e-4
+
+
+@pytest.mark.parametrize("psi", ["t + t^2", "exp(t) - 1"])
+def test_nonlinear_psi_relaxation_accuracy(psi):
+    # u = E_{1/2}(-(psi - psi0)^{1/2}) in closed form; nodes uniform in psi
+    errors = []
+    for n in (513, 2049):
+        report = solve(make_spec(f="-u", L_f=1.0, psi=psi, n=n))
+        assert report.converged
+        grid = report.solution.grid
+        exact = erfc_relaxation(grid.psi_values - grid.psi_values[0])
+        errors.append(np.abs(report.solution.values - exact).max())
+    assert errors[0] < 1e-3
+    assert errors[0] / errors[1] >= 3.0
 
 
 def test_constant_forcing_dual_weight_cross_check():
