@@ -52,7 +52,14 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NOT_CERTIFIED = 3
 
-SWEEP_PARAMS = ("alpha", "beta", "T", "epsilon", "n")
+# sweepable parameter -> the problem-file section that holds it
+SWEEP_PARAMS = {
+    "alpha": "order",
+    "beta": "order",
+    "T": "domain",
+    "epsilon": "constants",
+    "n": "domain",
+}
 
 # failed hypotheses of the theorem: exit 2, sweep status "hypothesis
 # failure"; every input error (exit 1, "invalid value") is a ValueError
@@ -117,6 +124,10 @@ def _number(doc, section, key, default=None):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{section}.{key}' must be a number")
+    # json accepts NaN, Infinity and integers beyond the float range; the
+    # comparisons are exact and false for NaN
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"'{section}.{key}' must be a finite number")
     return float(value)
 
 
@@ -143,18 +154,21 @@ def _expression(doc, key, required=True):
         raise ConfigError(f"invalid expression 'functions.{key}': {exc}") from exc
 
 
+def _read_doc(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_problem(path, n_override=None):
     """Load and validate a problem file.
 
     Returns (spec, options) where options carries tol, max_iter,
     num_perturbations and seed with defaults filled in.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return problem_from_doc(doc, n_override)
+    return problem_from_doc(_read_doc(path), n_override)
 
 
 def problem_from_doc(doc, n_override=None):
@@ -203,22 +217,34 @@ def problem_from_doc(doc, n_override=None):
 # Commands
 
 
+def _write_csv(path, header, comment, rows):
+    """Write header, the comment line (if any) and the rows of strings."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(header + "\n")
+        if comment is not None:
+            handle.write(f"# {comment}\n")
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _fmt_rows(*columns):
+    return ([_fmt(x) for x in row] for row in zip(*columns))
+
+
+def _placeholder_comment(spec, consequence):
+    placeholder = "node 0 is a display placeholder (prefactor at t_1/2)"
+    return f"{placeholder}: {consequence}" if spec.order.gamma < 1.0 else None
+
+
 def cmd_solve(config_path, output_path, n_override=None):
     spec, options = load_problem(config_path, n_override)
     report = solve(spec, options["tol"], options["max_iter"])
     grid = report.solution.grid
-    with open(output_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("t,psi_t,u0\n")
-        if spec.order.gamma < 1.0:
-            handle.write(
-                "# node 0 is a display placeholder (prefactor at t_1/2): "
-                "the exact value is unbounded for gamma < 1\n"
-            )
-        writer = csv.writer(handle, lineterminator="\n")
-        for t, psi_t, u0 in zip(
-            grid.t, grid.psi_values, report.solution.values
-        ):
-            writer.writerow([_fmt(t), _fmt(psi_t), _fmt(u0)])
+    _write_csv(
+        output_path,
+        "t,psi_t,u0",
+        _placeholder_comment(spec, "the exact value is unbounded for gamma < 1"),
+        _fmt_rows(grid.t, grid.psi_values, report.solution.values),
+    )
     residual = report.residual_trace[-1] if len(report.residual_trace) else 0.0
     print(f"iterations: {report.iterations}")
     print(f"final residual: {_fmt(residual)}")
@@ -236,34 +262,34 @@ def _companion_csv_path(output_path):
     return companion
 
 
-def cmd_verify(config_path, output_path, seed_override=None, n_override=None):
-    spec, options = load_problem(config_path, n_override)
+def _certify(spec, options, seed_override):
+    """verify() with the problem file's options; --seed overrides its seed."""
     seed = options["seed"] if seed_override is None else seed_override
-    certificate = verify(
+    return verify(
         spec,
         options["num_perturbations"],
         seed,
         tol=options["tol"],
         max_iter=options["max_iter"],
     )
+
+
+def cmd_verify(config_path, output_path, seed_override=None, n_override=None):
+    spec, options = load_problem(config_path, n_override)
+    certificate = _certify(spec, options, seed_override)
     with open(output_path, "w", encoding="utf-8") as handle:
         handle.write(certificate.to_json())
-    grid = certificate.bound.grid
-    with open(_companion_csv_path(output_path), "w", encoding="utf-8", newline="") as handle:
-        handle.write("t,u0,bound,worst_deviation\n")
-        if spec.order.gamma < 1.0:
-            handle.write(
-                "# node 0 is a display placeholder (prefactor at t_1/2): "
-                "excluded from certification checks\n"
-            )
-        writer = csv.writer(handle, lineterminator="\n")
-        for t, u0, bound, dev in zip(
-            grid.t,
+    _write_csv(
+        _companion_csv_path(output_path),
+        "t,u0,bound,worst_deviation",
+        _placeholder_comment(spec, "excluded from certification checks"),
+        _fmt_rows(
+            certificate.bound.grid.t,
             certificate.u0.values,
             certificate.bound.values,
             certificate.worst_deviation.values,
-        ):
-            writer.writerow([_fmt(t), _fmt(u0), _fmt(bound), _fmt(dev)])
+        ),
+    )
     print(f"certified: {str(certificate.certified).lower()}")
     print(f"empirical max deviation: {_fmt(certificate.empirical_max_deviation)}")
     return EXIT_OK if certificate.certified else EXIT_NOT_CERTIFIED
@@ -278,19 +304,6 @@ def _sweep_value(raw, param):
     return float(raw)
 
 
-def _apply_param(doc, param, value):
-    if param == "alpha":
-        doc["order"]["alpha"] = value
-    elif param == "beta":
-        doc["order"]["beta"] = value
-    elif param == "T":
-        doc["domain"]["T"] = value
-    elif param == "epsilon":
-        doc.setdefault("constants", {})["epsilon"] = value
-    elif param == "n":
-        doc["domain"]["n"] = value
-
-
 def _sweep_row(base_doc, param, raw_value, seed_override, n_override):
     try:
         value = _sweep_value(raw_value, param)
@@ -298,16 +311,9 @@ def _sweep_row(base_doc, param, raw_value, seed_override, n_override):
         return [raw_value, "", "", "", "", "", f"invalid value: {exc}"]
     try:
         doc = copy.deepcopy(base_doc)
-        _apply_param(doc, param, value)
+        doc[SWEEP_PARAMS[param]][param] = value
         spec, options = problem_from_doc(doc, n_override)
-        seed = options["seed"] if seed_override is None else seed_override
-        certificate = verify(
-            spec,
-            options["num_perturbations"],
-            seed,
-            tol=options["tol"],
-            max_iter=options["max_iter"],
-        )
+        certificate = _certify(spec, options, seed_override)
     except ValueError as exc:
         return [_fmt_param(value, param), "", "", "", "", "", f"invalid value: {exc}"]
     except HYPOTHESIS_ERRORS as exc:
@@ -338,11 +344,7 @@ def cmd_sweep(config_path, param, values, output_path, seed_override=None, n_ove
         print("error: --values must list at least one value", file=sys.stderr)
         return EXIT_INPUT
     # validate the base config once up front so config errors exit 1
-    with open(config_path, "r", encoding="utf-8") as handle:
-        try:
-            base_doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
+    base_doc = _read_doc(config_path)
     problem_from_doc(base_doc, n_override)
     max_workers = max(1, int(os.environ.get("FRAC_NUM_THREADS", "1") or "1"))
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -352,10 +354,9 @@ def cmd_sweep(config_path, param, values, output_path, seed_override=None, n_ove
                 values,
             )
         )
-    with open(output_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("param_value,M,q,bound_max,empirical_max,certified,status\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows(rows)
+    _write_csv(
+        output_path, "param_value,M,q,bound_max,empirical_max,certified,status", None, rows
+    )
     return EXIT_OK
 
 
@@ -405,10 +406,7 @@ def main(argv=None):
             return cmd_verify(args.config, args.out, args.seed, args.n)
         values = [v for v in (s.strip() for s in args.values.split(",")) if v]
         return cmd_sweep(args.config, args.param, values, args.out, args.seed, args.n)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HYPOTHESIS_ERRORS as exc:

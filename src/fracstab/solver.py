@@ -7,15 +7,16 @@ The initial value problem of order (alpha, beta) with weight function psi,
 
 is equivalent to the fixed-point equation u = Omega(u) with
 
-    (Omega v)(t) = (psi(t)-psi(0))^(gamma-1) * sigma / Gamma(gamma)
-                   + I^{alpha;psi}[ f(., v(.)) ](t)
-                   + I^{alpha;psi}[ xi -> int_0^xi k(xi, s, v(s)) ds ](t).
+    (Omega v)(t) = c(t) + I^{alpha;psi}[ f(., v(.))
+                                         + (xi -> int_0^xi k(xi, s, v(s)) ds) ](t),
+    c(t) = (psi(t)-psi(0))^(gamma-1) * sigma / Gamma(gamma).
 
-solve() iterates u_{m+1} = Omega(u_m) from the prefactor seed and stops on
-a sup-norm residual below tol.  When gamma < 1 the prefactor diverges at
-t = 0, so norms and convergence checks run on nodes 1..n-1 and node 0
-carries a flagged display placeholder (the prefactor evaluated at half the
-first step).
+The constant term c does not depend on v, so solve() builds it once (a
+forced solve adds its forcing to it), iterates u_{m+1} = Omega(u_m) from
+u_0 = c and stops on a sup-norm residual below tol.  When gamma < 1 the
+prefactor diverges at t = 0, so norms and convergence checks run on nodes
+1..n-1 and node 0 carries a flagged display placeholder (the prefactor
+evaluated at half the first step).
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ __all__ = [
     "ContractionReport",
     "SpotCheckReport",
     "NonContractiveError",
-    "SingularPrefactorError",
     "problem_grid",
     "prefactor",
-    "prefactor_at",
     "picard_step",
     "solve",
     "contraction_check",
@@ -58,10 +57,6 @@ class NonContractiveError(RuntimeError):
     def __init__(self, message, residual_trace):
         super().__init__(message)
         self.residual_trace = np.asarray(residual_trace)
-
-
-class SingularPrefactorError(ValueError):
-    """The prefactor (psi(t)-psi(0))^(gamma-1) was requested at t=0 with gamma<1."""
 
 
 @dataclass(frozen=True)
@@ -148,41 +143,17 @@ def check_nodes(spec):
     return slice(1, None) if spec.order.gamma < 1.0 else slice(None)
 
 
-def prefactor_at(spec, t):
-    """Prefactor (psi(t)-psi(0))^(gamma-1) * sigma / Gamma(gamma) at scalar t.
-
-    Raises SingularPrefactorError at t = 0 when gamma < 1, where the value
-    is genuinely unbounded.
-    """
-    gamma = spec.order.gamma
-    dpsi = float(evaluate(spec.psi, {"t": float(t)})) - float(
-        evaluate(spec.psi, {"t": 0.0})
-    )
-    if dpsi == 0.0 and gamma < 1.0:
-        raise SingularPrefactorError(
-            f"prefactor is singular at t={t} for gamma={gamma} < 1"
-        )
-    return dpsi ** (gamma - 1.0) * spec.sigma / math.gamma(gamma)
-
-
 def prefactor(spec, grid):
-    """Prefactor term as a GridFunction.
+    """The constant term c(t) = (psi(t)-psi(0))^(gamma-1) * sigma / Gamma(gamma).
 
-    For gamma < 1, node 0 stores the prefactor evaluated at t_1/2 as a
-    display placeholder; it is excluded from norms and checks.
+    Node 0 takes psi(t_1/2) - psi(0) in place of psi(t_0) - psi(0) = 0.
+    For gamma < 1 it is a display placeholder, excluded from norms and
+    checks; for gamma = 1 the power is 1, so every node is sigma.
     """
     gamma = spec.order.gamma
     dpsi = grid.psi_values - grid.psi_values[0]
-    scale = spec.sigma / math.gamma(gamma)
-    values = np.empty(grid.n)
-    values[1:] = dpsi[1:] ** (gamma - 1.0) * scale
-    if gamma == 1.0:
-        values[0] = scale
-    else:
-        half = 0.5 * grid.t[1]
-        psi_half = float(evaluate(spec.psi, {"t": half}))
-        values[0] = (psi_half - grid.psi_values[0]) ** (gamma - 1.0) * scale
-    return GridFunction(grid, values)
+    dpsi[0] = float(evaluate(spec.psi, {"t": 0.5 * grid.t[1]})) - grid.psi_values[0]
+    return GridFunction(grid, dpsi ** (gamma - 1.0) * (spec.sigma / math.gamma(gamma)))
 
 
 # bytes per n^2 of the inner Volterra sum: the kernel grid, its lower
@@ -216,29 +187,29 @@ def _inner_volterra(spec, grid, v_values):
     return np.einsum("ij,j->i", np.tril(kmat), weights) - ends
 
 
-def picard_step(spec, plan_alpha, v):
+def picard_step(spec, plan_alpha, v, constant):
     """One application of the integral operator Omega to the iterate v.
 
     Returns the grid function
 
-        prefactor + I^{alpha;psi}[f(., v)] + I^{alpha;psi}[inner Volterra of v],
+        constant + I^{alpha;psi}[f(., v) + inner Volterra of v],
 
-    where the inner integral int_0^xi k(xi, s, v(s)) ds binds the kernel's
-    first argument to the outer quadrature variable xi and is computed by
-    composite trapezoid over s.  Domain violations inside f or k surface
-    as EvalError.
+    where constant holds the nodal values of the constant term c (see
+    prefactor; a forced solve adds its forcing) and the inner integral
+    int_0^xi k(xi, s, v(s)) ds binds the kernel's first argument to the
+    outer quadrature variable xi and is computed by composite trapezoid
+    over s.  Domain violations inside f or k surface as EvalError.
     """
     grid = plan_alpha.grid
     if not same_grid(v.grid, grid):
         raise ValueError("iterate does not live on the plan's grid")
     f_vals = _eval_on(spec.f, (grid.n,), {"t": grid.t, "u": v.values})
     inner = _inner_volterra(spec, grid, v.values)
-    total = prefactor(spec, grid).values + plan_alpha.apply(f_vals + inner)
-    return GridFunction(grid, total)
+    return GridFunction(grid, constant + plan_alpha.apply(f_vals + inner))
 
 
 def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
-    """Picard iteration u_{m+1} = Omega(u_m) from the prefactor seed.
+    """Picard iteration u_{m+1} = Omega(u_m) from the constant term.
 
     Parameters
     ----------
@@ -252,7 +223,7 @@ def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
     plan : QuadraturePlan, optional
         Reuse a precomputed order-alpha plan on the problem's grid.
     forcing : ndarray, optional
-        Extra grid function added to every iterate (solves the forced
+        Extra grid function added to the constant term (solves the forced
         equation u = Omega(u) + forcing); used to manufacture perturbed
         solutions.
 
@@ -269,22 +240,20 @@ def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
         plan = build_plan(spec.order.alpha, problem_grid(spec))
     grid = plan.grid
     nodes = check_nodes(spec)
-    seed = prefactor(spec, grid).values
+    constant = prefactor(spec, grid).values
     if forcing is not None:
-        seed = seed + np.asarray(forcing, dtype=float)
-    u = GridFunction(grid, seed)
+        constant = constant + np.asarray(forcing, dtype=float)
+    u = GridFunction(grid, constant)
 
     trace = []
     increases = 0
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        stepped = picard_step(spec, plan, u).values
-        if forcing is not None:
-            stepped = stepped + forcing
-        residual = float(np.max(np.abs(stepped - u.values)[nodes]))
+        stepped = picard_step(spec, plan, u, constant)
+        residual = float(np.max(np.abs(stepped.values - u.values)[nodes]))
         trace.append(residual)
-        u = GridFunction(grid, stepped)
+        u = stepped
         iterations += 1
         if residual < tol:
             converged = True
@@ -310,12 +279,16 @@ def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
     return SolveReport(u, iterations, trace, estimate, converged)
 
 
-def hu_factor(spec):
-    """The constant (psi(T)-psi(0))^alpha / Gamma(alpha+1)."""
-    psi_span = float(evaluate(spec.psi, {"t": spec.T})) - float(
+def _psi_span(spec):
+    """psi(T) - psi(0)."""
+    return float(evaluate(spec.psi, {"t": spec.T})) - float(
         evaluate(spec.psi, {"t": 0.0})
     )
-    return psi_span**spec.order.alpha / math.gamma(spec.order.alpha + 1.0)
+
+
+def hu_factor(spec):
+    """The constant (psi(T)-psi(0))^alpha / Gamma(alpha+1)."""
+    return _psi_span(spec) ** spec.order.alpha / math.gamma(spec.order.alpha + 1.0)
 
 
 def contraction_check(spec, M=None):

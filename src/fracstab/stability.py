@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import evaluate
 from .psicalc import GridFunction, build_plan
+from .solver import _eval_on, _psi_span
 from .solver import check_nodes, contraction_check, problem_grid, solve
 
 __all__ = [
@@ -117,8 +117,7 @@ class StabilityCertificate:
 def _phi_values(spec, grid):
     if spec.phi is None:
         raise ValueError("operation requires envelope (HUR) mode")
-    vals = np.asarray(evaluate(spec.phi, {"t": grid.t}), dtype=float)
-    vals = np.broadcast_to(vals, grid.t.shape)
+    vals = _eval_on(spec.phi, grid.t.shape, {"t": grid.t})
     checked = vals[check_nodes(spec)]
     if np.any(checked <= 0.0) or not np.all(np.isfinite(vals)):
         worst = int(np.argmin(checked))
@@ -178,9 +177,7 @@ def hu_bound(spec):
     if spec.epsilon is None:
         raise ValueError("operation requires constant (HU) mode")
     alpha = spec.order.alpha
-    span = float(evaluate(spec.psi, {"t": spec.T})) - float(
-        evaluate(spec.psi, {"t": 0.0})
-    )
+    span = _psi_span(spec)
     denom = math.gamma(alpha + 1.0) - span**alpha * (
         spec.L_f + 0.5 * spec.T * spec.L_k
     )
@@ -208,9 +205,7 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
     elif isinstance(delta, np.ndarray):
         delta_vals = np.asarray(delta, dtype=float)
     else:
-        delta_vals = np.broadcast_to(
-            np.asarray(evaluate(delta, {"t": grid.t}), dtype=float), grid.t.shape
-        )
+        delta_vals = _eval_on(delta, grid.t.shape, {"t": grid.t})
     if delta_vals.shape != (grid.n,):
         raise InadmissiblePerturbationError(
             f"expected {grid.n} perturbation values, got shape {delta_vals.shape}"
@@ -303,8 +298,7 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
         warnings.append("base solve did not converge within max_iter")
 
     # quadrature slack from one refinement: same problem on 2(n-1)+1 nodes
-    fine_spec = _with_n(spec, 2 * (spec.n - 1) + 1)
-    fine = solve(fine_spec, tol, max_iter)
+    fine = solve(replace(spec, n=2 * (spec.n - 1) + 1), tol, max_iter)
     if not fine.converged:
         warnings.append("refinement solve did not converge within max_iter")
     nodes = check_nodes(spec)
@@ -349,7 +343,3 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
         u0=base.solution,
         worst_deviation=GridFunction(grid, worst),
     )
-
-
-def _with_n(spec, n):
-    return replace(spec, n=n)

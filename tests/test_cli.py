@@ -140,6 +140,37 @@ def test_missing_config_file(capsys, tmp_path):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_unreadable_path_is_an_input_error(capsys, problems_dir, tmp_path, flag):
+    paths = {"--config": str(problems_dir / "hu_linear.json"), "--out": str(tmp_path / "s.csv")}
+    paths[flag] = str(tmp_path)  # a directory: open() raises IsADirectoryError
+    code, _, stderr = run(
+        capsys, "solve", "--config", paths["--config"], "--out", paths["--out"], "--n", "17"
+    )
+    assert code == 1
+    assert "error" in stderr
+
+
+@pytest.mark.parametrize(
+    "problem, section, key, value",
+    [
+        ("hur_exp", "constants", "L_f", float("nan")),
+        ("hu_linear", "constants", "epsilon", float("nan")),
+        ("hu_linear", "domain", "T", float("inf")),
+        ("hu_linear", "domain", "T", 10**400),  # an integer no float can hold
+    ],
+)
+def test_non_finite_number_rejected(capsys, problems_dir, write_config, tmp_path,
+                                    problem, section, key, value):
+    doc = json.loads((problems_dir / f"{problem}.json").read_text())
+    doc[section][key] = value  # json.dumps writes NaN / Infinity, which json accepts
+    code, _, stderr = run(
+        capsys, "verify", "--config", write_config(doc), "--out", str(tmp_path / "c.json")
+    )
+    assert code == 1
+    assert f"'{section}.{key}' must be a finite number" in stderr
+
+
 def test_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")
@@ -391,6 +422,17 @@ def test_sweep_invalid_value_continues(capsys, problems_dir, tmp_path):
     assert rows[0][6] == "ok"
     assert rows[1][6].startswith("invalid value")
     assert rows[1][1:6] == [""] * 5
+
+
+def test_sweep_non_finite_value_names_the_key(capsys, problems_dir, tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    code, _, _ = run(
+        capsys, "sweep", "--config", str(problems_dir / "hu_linear.json"),
+        "--param", "epsilon", "--values", "nan", "--out", out, "--n", "65",
+    )
+    assert code == 0
+    rows = sweep_rows(out)
+    assert rows[0][6] == "invalid value: 'constants.epsilon' must be a finite number"
 
 
 def test_grid_too_large_for_memory_is_an_input_error(capsys, base_hu_doc, write_config, tmp_path):

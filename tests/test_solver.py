@@ -14,15 +14,14 @@ from fracstab.psicalc import (
 from fracstab.solver import (
     NonContractiveError,
     ProblemSpec,
-    SingularPrefactorError,
     contraction_check,
     lipschitz_spot_check,
     picard_step,
     prefactor,
-    prefactor_at,
     problem_grid,
     solve,
 )
+from fracstab.stability import make_perturbed
 from oracles import classical_rl_product_trapezoid, erfc_relaxation, ml_solution
 
 
@@ -67,30 +66,42 @@ def test_mode_property():
 # prefactor and the singular node
 
 
-def test_prefactor_at_regular():
-    spec = make_spec(beta=1.0, sigma=2.0)
-    assert prefactor_at(spec, 0.5) == 2.0  # gamma = 1: constant sigma
-    spec2 = make_spec(beta=0.5, sigma=1.0)  # gamma = 0.75
-    expected = 0.25 ** (-0.25) / math.gamma(0.75)
-    assert prefactor_at(spec2, 0.25) == pytest.approx(expected, rel=1e-14)
-
-
-def test_prefactor_singular_at_zero():
-    spec = make_spec(beta=0.5)
-    with pytest.raises(SingularPrefactorError):
-        prefactor_at(spec, 0.0)
-    # gamma = 1 is regular at zero
-    assert prefactor_at(make_spec(beta=1.0), 0.0) == 1.0
+def test_prefactor():
+    spec = make_spec(beta=1.0, sigma=2.0, n=65)  # gamma = 1: constant sigma
+    assert np.all(prefactor(spec, problem_grid(spec)).values == 2.0)
+    spec2 = make_spec(beta=0.5, sigma=1.0, n=65)  # gamma = 0.75
+    grid = problem_grid(spec2)
+    tau = grid.psi_values[1:] - grid.psi_values[0]
+    expected = tau ** (-0.25) / math.gamma(0.75)
+    assert np.allclose(prefactor(spec2, grid).values[1:], expected, rtol=1e-14, atol=0.0)
 
 
 def test_node_zero_placeholder_convention():
-    spec = make_spec(beta=0.5, n=65)
+    spec = make_spec(beta=0.5, psi="2*t", n=65)  # gamma = 0.75
     grid = problem_grid(spec)
     pref = prefactor(spec, grid)
-    assert pref.values[0] == prefactor_at(spec, 0.5 * grid.t[1])
+    # node 0 holds (psi(t_1/2) - psi(0))^(gamma-1) * sigma / Gamma(gamma)
+    assert pref.values[0] == (2.0 * 0.5 * grid.t[1]) ** (-0.25) * (1.0 / math.gamma(0.75))
     report = solve(spec)
     # f and kernel contributions vanish at node 0, so the placeholder survives
     assert report.solution.values[0] == pref.values[0]
+
+
+def test_prefactor_built_once_per_solve(monkeypatch):
+    spec = make_spec(epsilon=0.01)
+    calls = []
+    real = solver_module.prefactor
+
+    def spy(spec, grid):
+        calls.append(grid.n)
+        return real(spec, grid)
+
+    monkeypatch.setattr(solver_module, "prefactor", spy)
+    report = solve(spec)
+    assert report.iterations > 5 and calls == [spec.n]
+    plan = build_plan(spec.order.alpha, report.solution.grid)
+    make_perturbed(spec, np.full(spec.n, 0.01), plan_alpha=plan)  # a forced solve
+    assert calls == [spec.n, spec.n]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,7 @@ def test_operator_collapses_to_constant_term():
     rng = np.random.default_rng(7)
     for _ in range(3):
         v = GridFunction(grid, rng.normal(size=grid.n))
-        out = picard_step(spec, plan, v)
+        out = picard_step(spec, plan, v, prefactor(spec, grid).values)
         assert np.all(out.values == 3.25)
 
 
@@ -117,7 +128,7 @@ def test_picard_iterates_match_series_partial_sums():
     v = GridFunction(grid, np.zeros(grid.n))
     partial = np.zeros(grid.n)
     for m in range(4):
-        v = picard_step(spec, plan, v)
+        v = picard_step(spec, plan, v, prefactor(spec, grid).values)
         partial += (-np.sqrt(grid.t)) ** m / math.gamma(0.5 * m + 1.0)
         assert np.abs(v.values - partial).max() < 5e-4
 
@@ -127,7 +138,7 @@ def test_zero_kernel_identical_to_omitting_inner_integral():
     grid = problem_grid(spec)
     plan = build_plan(0.5, grid)
     v = GridFunction(grid, np.cos(grid.t))
-    stepped = picard_step(spec, plan, v)
+    stepped = picard_step(spec, plan, v, prefactor(spec, grid).values)
     # the inner integral omitted entirely, by hand
     manual = prefactor(spec, grid).values + plan.apply(-v.values / 3.0)
     assert np.array_equal(stepped.values, manual)
@@ -154,7 +165,7 @@ def test_one_apply_step_matches_two_matvec_formula(psi):
     grid = problem_grid(spec)
     plan = build_plan(0.5, grid)
     v = GridFunction(grid, np.cos(grid.t))
-    stepped = picard_step(spec, plan, v)
+    stepped = picard_step(spec, plan, v, prefactor(spec, grid).values)
     f_vals = -v.values / 2.0 + np.sin(grid.t) / 4.0
     inner = solver_module._inner_volterra(spec, grid, v.values)
     assert np.abs(inner).max() > 0.01
@@ -248,7 +259,7 @@ def test_fixed_point_residual_small():
     report = solve(spec, tol=tol)
     grid = report.solution.grid
     plan = build_plan(spec.order.alpha, grid)
-    moved = picard_step(spec, plan, report.solution)
+    moved = picard_step(spec, plan, report.solution, prefactor(spec, grid).values)
     assert np.abs(moved.values - report.solution.values).max() <= 2.0 * tol
 
 
