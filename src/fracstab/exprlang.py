@@ -45,6 +45,7 @@ __all__ = [
     "parse",
     "evaluate",
     "to_source",
+    "variables",
 ]
 
 
@@ -419,6 +420,19 @@ def _power(base, exponent, node):
     if np.any(np.logical_and(np.equal(base, 0.0), np.less(exponent, 0.0))):
         raise EvalError(f"zero raised to negative power in '{to_source(node)}'")
     return _check_finite(np.power(base, exponent), node)
+
+
+def variables(node):
+    """Names of the variables ``node`` uses, as a frozenset."""
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, Neg):
+        return variables(node.operand)
+    if isinstance(node, BinOp):
+        return variables(node.left) | variables(node.right)
+    if isinstance(node, Call):
+        return frozenset().union(*(variables(arg) for arg in node.args))
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ evaluated at half the first step).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, Num, evaluate
+from .exprlang import BinOp, EvalError, Expr, Neg, Num, evaluate, to_source, variables
 from .psicalc import (
     FractionalOrder,
     GridFunction,
@@ -90,6 +91,12 @@ class ProblemSpec:
         if self.epsilon is not None and self.epsilon < 0.0:
             raise ValueError("epsilon must be nonnegative")
 
+    @functools.cached_property
+    def kernel_factors(self):
+        """(g, h) with k = g(t)*h(s, u), g None when k has no t; None when
+        some factor of k mixes t with s or u (see split_kernel)."""
+        return split_kernel(self.k)
+
     @property
     def mode(self):
         """'HUR' (envelope), 'HU' (constant epsilon), or None (solve-only)."""
@@ -125,6 +132,41 @@ class SpotCheckReport:
     @property
     def violated(self):
         return self.violation_f or self.violation_k
+
+
+def _factors(node):
+    """Factors of a top-level product: a*b, a/d as a and 1/d, -a as -1 and a."""
+    if isinstance(node, BinOp) and node.op == "*":
+        return _factors(node.left) + _factors(node.right)
+    if isinstance(node, BinOp) and node.op == "/":
+        return _factors(node.left) + [BinOp("/", Num(1.0), node.right)]
+    if isinstance(node, Neg):
+        return [Num(-1.0)] + _factors(node.operand)
+    return [node]
+
+
+def split_kernel(k):
+    """Split a kernel as k(t, s, u) = g(t) * h(s, u).
+
+    Factors of k's top-level product that use only t go into g, factors
+    without t (constants included) into h.  Returns (g, h), g None when no
+    factor uses t and h the constant 1 when every factor does, or None
+    when a factor mixes t with s or u.
+    """
+    g, h = [], []
+    for factor in _factors(k):
+        names = variables(factor)
+        if "t" not in names:
+            h.append(factor)
+        elif names == {"t"}:
+            g.append(factor)
+        else:
+            return None
+
+    def product(factors):
+        return functools.reduce(lambda a, b: BinOp("*", a, b), factors)
+
+    return (product(g) if g else None, product(h) if h else Num(1.0))
 
 
 def _eval_on(expr, shape, bindings):
@@ -164,15 +206,31 @@ KERNEL_GRID_BYTES = 24
 def _inner_volterra(spec, grid, v_values):
     """Composite-trapezoid inner integrals K_i = int_0^{t_i} k(t_i, s, v(s)) ds.
 
-    Row i sums the lower triangle of the kernel grid against the trapezoid
-    weights of the whole grid, then takes off the half-panel beyond t_i
-    (panel i).  The literal kernel 0 gives zeros without evaluating k.
+    The literal kernel 0 gives zeros without evaluating k.  A t-separable
+    kernel k = g(t)*h(s, u) (see split_kernel) costs O(n): h is evaluated
+    once on the nodes, K_i = g(t_i) times its cumulative trapezoid up to
+    t_i.  Any other kernel is evaluated on the n x n grid (t_i, s_j), under
+    the memory guard; row i sums the grid's lower triangle against the
+    trapezoid weights of the whole grid, then takes off the half-panel
+    beyond t_i (panel i).
     """
     n = grid.n
     if spec.k == Num(0.0):
         return np.zeros(n)
-    check_memory(KERNEL_GRID_BYTES * n * n, f"the {n}x{n} kernel grid")
     t = grid.t
+    if spec.kernel_factors is not None:
+        g, h = spec.kernel_factors
+        # s is bound even when h does not use it: this is k's evaluation
+        h_vals = _eval_on(h, (n,), {"s": t, "u": v_values})
+        with np.errstate(over="ignore", invalid="ignore"):
+            panels = 0.5 * np.diff(t) * (h_vals[:-1] + h_vals[1:])
+            inner = np.concatenate(([0.0], np.cumsum(panels)))
+            if g is not None:
+                inner *= _eval_on(g, (n,), {"t": t})
+        if not np.all(np.isfinite(inner)):
+            raise EvalError(f"non-finite inner integral of '{to_source(spec.k)}'")
+        return inner
+    check_memory(KERNEL_GRID_BYTES * n * n, f"the {n}x{n} kernel grid")
     kmat = _eval_on(
         spec.k,
         (n, n),

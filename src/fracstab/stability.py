@@ -194,8 +194,8 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
     delta may be an expression over {t}, an array of nodal values, or a
     GridFunction.  Admissibility |delta(t_i)| <= envelope(t_i) is enforced
     at every node and violations are rejected, never silently clipped.
-    The returned solution's integral-form residual is I^{alpha;psi}delta
-    by construction.
+    Returns the forced solve's SolveReport; the integral-form residual of
+    its solution is I^{alpha;psi}delta by construction.
     """
     if plan_alpha is None:
         plan_alpha = build_plan(spec.order.alpha, problem_grid(spec))
@@ -219,8 +219,7 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
             f"(t={grid.t[worst]:.6g}) by {float(excess[worst]):.3e}"
         )
     forcing = plan_alpha.apply(delta_vals)
-    report = solve(spec, tol, max_iter, plan=plan_alpha, forcing=forcing)
-    return report.solution
+    return solve(spec, tol, max_iter, plan=plan_alpha, forcing=forcing)
 
 
 def _perturbation_catalog(spec, grid, env, num, rng_seed):
@@ -247,8 +246,9 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
     Solves the unperturbed problem, generates num_perturbations admissible
     residual profiles (a fixed catalog plus seeded random piecewise ones),
     solves each forced problem, and compares nodewise deviations against
-    the mode's bound.  certified requires every margin <= slack and at
-    least one perturbation; slack = 10*tol plus an estimated quadrature
+    the mode's bound.  certified requires every margin <= slack, at least
+    one perturbation, and every solve (base, refinement and each perturbed
+    one) converged within max_iter; slack = 10*tol plus an estimated quadrature
     error from one grid refinement.  Runs with equal inputs produce equal
     certificates.
     """
@@ -312,17 +312,26 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
     margins = []
     worst = np.zeros(grid.n)
     empirical_max = 0.0
+    unconverged = 0
     for delta_vals in deltas:
-        u = make_perturbed(spec, delta_vals, plan_alpha=plan, tol=tol, max_iter=max_iter)
-        deviation = np.abs(u.values - base.solution.values)
+        report = make_perturbed(spec, delta_vals, plan_alpha=plan, tol=tol, max_iter=max_iter)
+        unconverged += not report.converged
+        deviation = np.abs(report.solution.values - base.solution.values)
         worst = np.maximum(worst, deviation)
         checked_dev = deviation[nodes]
         empirical_max = max(empirical_max, float(np.max(checked_dev)))
         margins.append(float(np.max(checked_dev - bound.values[nodes])))
 
+    if unconverged:
+        warnings.append(
+            f"{unconverged} of {len(deltas)} perturbed solves did not converge "
+            f"within max_iter"
+        )
+
     certified = (
         base.converged
         and fine.converged
+        and not unconverged
         and len(margins) > 0
         and all(m <= slack for m in margins)
     )

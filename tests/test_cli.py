@@ -312,6 +312,24 @@ def test_verify_understated_lipschitz_exits_3(capsys, write_config, tmp_path):
     assert json.loads(cert_path.read_text())["certified"] is False
 
 
+def test_verify_unconverged_perturbed_solve_exits_3(capsys, write_config, tmp_path,
+                                                   base_hu_doc):
+    # base and refinement converge within 17 iterations, perturbed solves
+    # need up to 19
+    base_hu_doc["constants"]["epsilon"] = 100.0
+    base_hu_doc["solver"]["max_iter"] = 17
+    cert_path = tmp_path / "cert.json"
+    code, stdout, _ = run(
+        capsys, "verify", "--config", write_config(base_hu_doc),
+        "--out", str(cert_path), "--n", "129",
+    )
+    assert code == 3
+    assert "certified: false" in stdout
+    doc = json.loads(cert_path.read_text())
+    assert doc["certified"] is False
+    assert "17 of 20 perturbed solves did not converge within max_iter" in doc["warnings"]
+
+
 def test_verify_seed_changes_margins_not_bound(capsys, problems_dir, tmp_path):
     config = str(problems_dir / "hu_linear.json")
     docs = []
@@ -436,8 +454,9 @@ def test_sweep_non_finite_value_names_the_key(capsys, problems_dir, tmp_path):
 
 
 def test_grid_too_large_for_memory_is_an_input_error(capsys, base_hu_doc, write_config, tmp_path):
-    # a nonzero kernel needs an n x n kernel grid: ~24 TB at n = 10^6
-    base_hu_doc["functions"]["k"] = "0.1*exp(-s)*u"
+    # a kernel that is not t-separable needs an n x n kernel grid: ~24 TB
+    # at n = 10^6
+    base_hu_doc["functions"]["k"] = "0.1*exp(s - t)*u"
     base_hu_doc["constants"]["L_k"] = 0.1
     config = write_config(base_hu_doc)
     code, _, err = run(

@@ -20,6 +20,7 @@ from fracstab.exprlang import (
     evaluate,
     parse,
     to_source,
+    variables,
 )
 
 VARS = ("t", "s", "u")
@@ -192,6 +193,19 @@ def test_broadcasting_2d():
     out = evaluate(expr, {"t": t, "s": s})
     assert out.shape == (2, 2)
     assert out[1, 0] == 3.0
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("0.5*pi", set()),
+        ("-t", {"t"}),
+        ("exp(-s)*u + t^2", {"t", "s", "u"}),
+        ("pow(s, 2) / (1 + u)", {"s", "u"}),
+    ],
+)
+def test_variables(source, names):
+    assert variables(parse(source, VARS)) == names
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fracstab.solver as solver_module
-from fracstab.exprlang import EvalError, parse
+from fracstab.exprlang import EvalError, parse, to_source
 from fracstab.psicalc import (
     FractionalOrder,
     GridFunction,
@@ -20,6 +21,7 @@ from fracstab.solver import (
     prefactor,
     problem_grid,
     solve,
+    split_kernel,
 )
 from fracstab.stability import make_perturbed
 from oracles import classical_rl_product_trapezoid, erfc_relaxation, ml_solution
@@ -174,9 +176,90 @@ def test_one_apply_step_matches_two_matvec_formula(psi):
 
 
 def test_kernel_grid_too_large_for_memory_rejected():
-    spec = make_spec(k="0.1*exp(-s)*u", L_k=0.1, n=1_000_000)
+    # t and s mixed in one factor: the kernel needs the n x n grid
+    spec = make_spec(k="0.1*exp(s - t)*u", L_k=0.1, n=1_000_000)
     with pytest.raises(GridTooLargeError, match="kernel grid needs about 2.4e\\+04 GB"):
         solver_module._inner_volterra(spec, problem_grid(spec), np.zeros(spec.n))
+
+
+# ---------------------------------------------------------------------------
+# t-separable kernels
+
+
+def _split(k):
+    factors = split_kernel(parse(k, {"t", "s", "u"}))
+    if factors is None:
+        return None
+    g, h = factors
+    return (None if g is None else to_source(g), to_source(h))
+
+
+def test_split_kernel_classes():
+    assert _split("0.1*exp(-s)*u") == (None, "0.1 * exp(-s) * u")  # t-free
+    assert _split("0.03*cos(t)*u") == ("cos(t)", "0.03 * u")
+    assert _split("0.03*(cos(t)*u)") == ("cos(t)", "0.03 * u")  # nested product
+    assert _split("-(cos(t)*u)") == ("cos(t)", "-1.0 * u")  # leading minus
+    assert _split("u/(1 + t)") == ("1.0 / (1.0 + t)", "u")  # t-only divisor
+    assert _split("cos(t)") == ("cos(t)", "1.0")
+    assert _split("0") == (None, "0.0")
+    assert _split("cos(t + 0*s)*u") is None  # t and s in one factor
+    assert _split("exp(s - t)*u") is None
+    assert _split("u/(t + s)") is None
+    assert _split("t*u + s") is None  # a sum is one factor
+
+
+# each separable kernel with the same kernel spelled so that one factor
+# mixes t and s, which forces the n x n path; the values are equal
+_SEPARABLE_VS_GENERAL = [
+    ("0.1*exp(-s)*u", "0.1*exp(-s + 0*t)*u"),
+    ("0.03*cos(t)*u", "0.03*cos(t + 0*s)*u"),
+    ("-0.2*exp(t)*sin(s)*u*u", "-0.2*exp(t + 0*s)*sin(s)*u*u"),
+]
+
+
+@pytest.mark.parametrize("n", [17, 513, 1000])
+@pytest.mark.parametrize("psi", ["t", "t + t^2", "exp(t) - 1"])
+@pytest.mark.parametrize("kernels", _SEPARABLE_VS_GENERAL, ids=lambda pair: pair[0])
+def test_separable_inner_sum_matches_general_path(kernels, psi, n):
+    separable = make_spec(k=kernels[0], psi=psi, n=n)
+    general = make_spec(k=kernels[1], psi=psi, n=n)
+    assert separable.kernel_factors is not None
+    assert general.kernel_factors is None
+    grid = problem_grid(separable)
+    v = 0.5 + np.cos(3.0 * grid.t)
+    fast = solver_module._inner_volterra(separable, grid, v)
+    reference = solver_module._inner_volterra(general, grid, v)
+    scale = np.abs(reference).max()
+    assert scale > 1e-3
+    assert np.abs(fast - reference).max() <= 1e-13 * scale
+
+
+def test_separable_inner_sum_memory_linear_in_n():
+    n = 1_000_000
+    spec = make_spec(k="0.03*cos(t)*u", L_k=0.03, n=n)
+    grid = problem_grid(spec)
+    v = np.ones(n)
+    tracemalloc.start()
+    try:
+        inner = solver_module._inner_volterra(spec, grid, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 8 * n
+    # int_0^t 0.03 ds = 0.03 t, times cos(t); the cumulative sum over 10^6
+    # panels gathers round-off of order n * eps
+    assert abs(inner[-1] - 0.03 * math.cos(1.0)) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "k", ["log(t - 1)*u", "u*log(s - 1)", "u/(t - 0.5)", "exp(700*t)*1e10*u"]
+)
+def test_separable_kernel_domain_errors_raise(k):
+    spec = make_spec(k=k, n=65)
+    assert spec.kernel_factors is not None
+    grid = problem_grid(spec)
+    with pytest.raises(EvalError):
+        solver_module._inner_volterra(spec, grid, np.ones(grid.n))
 
 
 def test_eval_errors_propagate():

@@ -138,7 +138,7 @@ def test_zero_delta_recovers_base_solution():
     spec = make_spec(epsilon=0.01, n=257)
     tol = 1e-10
     base = solve(spec, tol=tol)
-    u = make_perturbed(spec, np.zeros(spec.n), tol=tol)
+    u = make_perturbed(spec, np.zeros(spec.n), tol=tol).solution
     assert np.abs(u.values - base.solution.values).max() <= 2.0 * tol
 
 
@@ -146,7 +146,7 @@ def test_constant_epsilon_delta_stays_under_bound():
     spec = make_spec(epsilon=0.01, n=257)
     plan = plan_for(spec)
     base = solve(spec, plan=plan)
-    u = make_perturbed(spec, parse("0.01", {"t"}), plan_alpha=plan)
+    u = make_perturbed(spec, parse("0.01", {"t"}), plan_alpha=plan).solution
     deviation = np.abs(u.values - base.solution.values).max()
     assert deviation <= hu_bound(spec)
 
@@ -154,7 +154,7 @@ def test_constant_epsilon_delta_stays_under_bound():
 def test_sign_alternating_envelope_delta_admissible():
     spec = make_spec(phi="exp(t)", L_f=0.1, n=257)
     grid = problem_grid(spec)
-    u = make_perturbed(spec, parse("exp(t)*sin(10*t)", {"t"}))
+    u = make_perturbed(spec, parse("exp(t)*sin(10*t)", {"t"})).solution
     assert u.values.shape == (grid.n,)
 
 
@@ -230,6 +230,28 @@ def test_verify_unconverged_refinement_solve_blocks_certification(monkeypatch):
     assert not cert.certified
     assert "refinement solve did not converge within max_iter" in cert.warnings
     assert all(m <= cert.slack for m in cert.margins)
+
+
+def test_verify_unconverged_perturbed_solve_blocks_certification():
+    # the base and refinement solves converge within 17 iterations, most
+    # perturbed solves need up to 19
+    spec = make_spec(epsilon=100.0, n=129)
+    cert = verify(spec, 20, rng_seed=0, max_iter=17)
+    assert not cert.certified
+    assert "17 of 20 perturbed solves did not converge within max_iter" in cert.warnings
+    assert not any("base" in w or "refinement" in w for w in cert.warnings)
+    assert all(m <= cert.slack for m in cert.margins)
+    assert verify(spec, 20, rng_seed=0, max_iter=19).certified
+
+
+def test_make_perturbed_reports_convergence():
+    spec = make_spec(epsilon=100.0, n=129)
+    delta = np.full(spec.n, 100.0)
+    report = make_perturbed(spec, delta, max_iter=5)
+    assert not report.converged and report.iterations == 5
+    report = make_perturbed(spec, delta)
+    assert report.converged
+    assert report.solution.values.shape == (spec.n,)
 
 
 def test_verify_deterministic():
