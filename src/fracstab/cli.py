@@ -61,13 +61,24 @@ SWEEP_PARAMS = {
     "n": "domain",
 }
 
-# failed hypotheses of the theorem: exit 2, sweep status "hypothesis
-# failure"; every input error (exit 1, "invalid value") is a ValueError
-HYPOTHESIS_ERRORS = (
-    NonContractiveError,
-    ContractionViolatedError,
-    DegenerateDenominatorError,
+# the one exit-code table: (exception classes, exit code, stderr prefix,
+# sweep row status), first match wins.  Every input error is an OSError
+# or a ValueError; the second row holds the failed hypotheses of the theorem.
+FAILURES = (
+    ((OSError, ValueError), EXIT_INPUT, "error", "invalid value"),
+    (
+        (NonContractiveError, ContractionViolatedError, DegenerateDenominatorError),
+        EXIT_HYPOTHESIS,
+        "hypothesis failure",
+        "hypothesis failure",
+    ),
 )
+FAILURE_CLASSES = tuple(cls for classes, *_ in FAILURES for cls in classes)
+
+
+def _failure(exc):
+    """(exit code, stderr prefix, sweep row status) of a caught exception."""
+    return next(row[1:] for row in FAILURES if isinstance(exc, row[0]))
 
 
 class ConfigError(ValueError):
@@ -305,21 +316,18 @@ def _sweep_value(raw, param):
 
 
 def _sweep_row(base_doc, param, raw_value, seed_override, n_override):
+    label = raw_value
     try:
         value = _sweep_value(raw_value, param)
-    except ValueError as exc:
-        return [raw_value, "", "", "", "", "", f"invalid value: {exc}"]
-    try:
+        label = _fmt_param(value, param)
         doc = copy.deepcopy(base_doc)
         doc[SWEEP_PARAMS[param]][param] = value
         spec, options = problem_from_doc(doc, n_override)
         certificate = _certify(spec, options, seed_override)
-    except ValueError as exc:
-        return [_fmt_param(value, param), "", "", "", "", "", f"invalid value: {exc}"]
-    except HYPOTHESIS_ERRORS as exc:
-        return [_fmt_param(value, param), "", "", "", "", "", f"hypothesis failure: {exc}"]
+    except FAILURE_CLASSES as exc:
+        return [label, "", "", "", "", "", f"{_failure(exc)[2]}: {exc}"]
     return [
-        _fmt_param(value, param),
+        label,
         "" if certificate.M is None else _fmt(certificate.M),
         _fmt(certificate.contraction_q),
         _fmt(float(certificate.bound.values.max())),
@@ -346,7 +354,11 @@ def cmd_sweep(config_path, param, values, output_path, seed_override=None, n_ove
     # validate the base config once up front so config errors exit 1
     base_doc = _read_doc(config_path)
     problem_from_doc(base_doc, n_override)
-    max_workers = max(1, int(os.environ.get("FRAC_NUM_THREADS", "1") or "1"))
+    threads = os.environ.get("FRAC_NUM_THREADS") or "1"
+    try:
+        max_workers = max(1, int(threads))
+    except ValueError:
+        raise ValueError(f"FRAC_NUM_THREADS must be an integer, got {threads!r}") from None
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         rows = list(
             pool.map(
@@ -406,12 +418,10 @@ def main(argv=None):
             return cmd_verify(args.config, args.out, args.seed, args.n)
         values = [v for v in (s.strip() for s in args.values.split(",")) if v]
         return cmd_sweep(args.config, args.param, values, args.out, args.seed, args.n)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HYPOTHESIS_ERRORS as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    except FAILURE_CLASSES as exc:
+        code, prefix, _ = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

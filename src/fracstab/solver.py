@@ -13,7 +13,11 @@ is equivalent to the fixed-point equation u = Omega(u) with
 
 The constant term c does not depend on v, so solve() builds it once (a
 forced solve adds its forcing to it), iterates u_{m+1} = Omega(u_m) from
-u_0 = c and stops on a sup-norm residual below tol.  When gamma < 1 the
+u_0 = c and stops on a sup-norm residual below tol.  There is one Picard
+loop: a plain solve iterates one column of n values, and P forced
+equations (an n x P forcing) are an n x P block stepped together.
+Each column is frozen on the step its own residual falls below tol, so
+it ends exactly as it would alone.  When gamma < 1 the
 prefactor diverges at t = 0, so norms and convergence checks run on nodes
 1..n-1 and node 0 carries a flagged display placeholder (the prefactor
 evaluated at half the first step).
@@ -31,6 +35,7 @@ from .exprlang import BinOp, EvalError, Expr, Neg, Num, evaluate, to_source, var
 from .psicalc import (
     FractionalOrder,
     GridFunction,
+    GridMismatchError,
     build_plan,
     check_memory,
     make_grid,
@@ -206,35 +211,43 @@ KERNEL_GRID_BYTES = 24
 def _inner_volterra(spec, grid, v_values):
     """Composite-trapezoid inner integrals K_i = int_0^{t_i} k(t_i, s, v(s)) ds.
 
-    The literal kernel 0 gives zeros without evaluating k.  A t-separable
-    kernel k = g(t)*h(s, u) (see split_kernel) costs O(n): h is evaluated
-    once on the nodes, K_i = g(t_i) times its cumulative trapezoid up to
-    t_i.  Any other kernel is evaluated on the n x n grid (t_i, s_j), under
-    the memory guard; row i sums the grid's lower triangle against the
-    trapezoid weights of the whole grid, then takes off the half-panel
-    beyond t_i (panel i).
+    v_values holds one iterate (n values) or a block of them (n x P, one
+    per column); the result has the same shape.  The literal kernel 0
+    gives zeros without evaluating k.  A t-separable kernel
+    k = g(t)*h(s, u) (see split_kernel) costs O(n) per column: h is
+    evaluated once on the block, K_i = g(t_i) times its cumulative
+    trapezoid up to t_i.  Any other kernel is evaluated on the n x n grid
+    (t_i, s_j), one column at a time under the memory guard; row i sums
+    the grid's lower triangle against the trapezoid weights of the whole
+    grid, then takes off the half-panel beyond t_i (panel i).
     """
     n = grid.n
     if spec.k == Num(0.0):
-        return np.zeros(n)
+        return np.zeros(v_values.shape)
     t = grid.t
+    block = v_values.reshape(n, -1)
     if spec.kernel_factors is not None:
         g, h = spec.kernel_factors
         # s is bound even when h does not use it: this is k's evaluation
-        h_vals = _eval_on(h, (n,), {"s": t, "u": v_values})
+        h_vals = _eval_on(h, block.shape, {"s": t[:, None], "u": block})
         with np.errstate(over="ignore", invalid="ignore"):
-            panels = 0.5 * np.diff(t) * (h_vals[:-1] + h_vals[1:])
-            inner = np.concatenate(([0.0], np.cumsum(panels)))
+            panels = (0.5 * np.diff(t))[:, None] * (h_vals[:-1] + h_vals[1:])
+            inner = np.concatenate((np.zeros_like(panels[:1]), np.cumsum(panels, axis=0)))
             if g is not None:
-                inner *= _eval_on(g, (n,), {"t": t})
+                inner *= _eval_on(g, (n,), {"t": t})[:, None]
         if not np.all(np.isfinite(inner)):
             raise EvalError(f"non-finite inner integral of '{to_source(spec.k)}'")
-        return inner
+        return inner.reshape(v_values.shape)
     check_memory(KERNEL_GRID_BYTES * n * n, f"the {n}x{n} kernel grid")
+    inner = np.stack([_general_inner(spec, t, column) for column in block.T], axis=1)
+    return inner.reshape(v_values.shape)
+
+
+def _general_inner(spec, t, v):
+    # one column of _inner_volterra for a kernel that is not t-separable;
+    # its n x n temporaries die on return, before the next column
     kmat = _eval_on(
-        spec.k,
-        (n, n),
-        {"t": t[:, None], "s": t[None, :], "u": v_values[None, :]},
+        spec.k, (t.size, t.size), {"t": t[:, None], "s": t[None, :], "u": v[None, :]}
     )
     h = np.diff(t)
     # panel widths with the end panels repeated: node j weighs half of each
@@ -248,7 +261,7 @@ def _inner_volterra(spec, grid, v_values):
 def picard_step(spec, plan_alpha, v, constant):
     """One application of the integral operator Omega to the iterate v.
 
-    Returns the grid function
+    Returns
 
         constant + I^{alpha;psi}[f(., v) + inner Volterra of v],
 
@@ -256,14 +269,32 @@ def picard_step(spec, plan_alpha, v, constant):
     prefactor; a forced solve adds its forcing) and the inner integral
     int_0^xi k(xi, s, v(s)) ds binds the kernel's first argument to the
     outer quadrature variable xi and is computed by composite trapezoid
-    over s.  Domain violations inside f or k surface as EvalError.
+    over s.  v is a GridFunction on the plan's grid, which gives a
+    GridFunction back, or an array of n nodal values or of n x P (one
+    iterate per column, constant of the same shape), which gives an array
+    of that shape.  Domain violations inside f or k surface as EvalError.
     """
     grid = plan_alpha.grid
-    if not same_grid(v.grid, grid):
+    gridded = isinstance(v, GridFunction)
+    values = v.values if gridded else np.asarray(v, dtype=float)
+    if (gridded and not same_grid(v.grid, grid)) or len(values) != grid.n:
         raise ValueError("iterate does not live on the plan's grid")
-    f_vals = _eval_on(spec.f, (grid.n,), {"t": grid.t, "u": v.values})
-    inner = _inner_volterra(spec, grid, v.values)
-    return GridFunction(grid, constant + plan_alpha.apply(f_vals + inner))
+    block = values.reshape(grid.n, -1)
+    f_vals = _eval_on(spec.f, block.shape, {"t": grid.t[:, None], "u": block})
+    inner = _inner_volterra(spec, grid, block)
+    stepped = constant + plan_alpha.apply(f_vals + inner).reshape(values.shape)
+    return GridFunction(grid, stepped) if gridded else stepped
+
+
+def _report(values, trace, converged, grid):
+    trace = np.asarray(trace)
+    ratios = [
+        trace[m] / trace[m - 1]
+        for m in range(1, len(trace))
+        if trace[m - 1] > 0.0
+    ]
+    estimate = float(max(ratios)) if ratios else 0.0
+    return SolveReport(GridFunction(grid, values), len(trace), trace, estimate, converged)
 
 
 def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
@@ -283,12 +314,21 @@ def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
     forcing : ndarray, optional
         Extra grid function added to the constant term (solves the forced
         equation u = Omega(u) + forcing); used to manufacture perturbed
-        solutions.
+        solutions.  An n x P array solves P forced equations, one per
+        column, as one block.
+
+    Returns
+    -------
+    SolveReport, or a tuple of P SolveReports for an n x P forcing.  Every
+    column is its own solve: its own residual trace, divergence count and
+    converged flag.  A column stops on the step it converges, so its
+    solution and iteration count are those of solving it alone.
 
     Raises
     ------
     NonContractiveError
-        After 5 consecutive residual increases (divergence).
+        After 5 consecutive residual increases (divergence) of a column;
+        the lowest such column at that step, with its residual trace.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -300,41 +340,54 @@ def solve(spec, tol=1e-10, max_iter=200, *, plan=None, forcing=None):
     nodes = check_nodes(spec)
     constant = prefactor(spec, grid).values
     if forcing is not None:
-        constant = constant + np.asarray(forcing, dtype=float)
-    u = GridFunction(grid, constant)
-
-    trace = []
-    increases = 0
-    converged = False
-    iterations = 0
+        forcing = np.asarray(forcing, dtype=float)
+        if forcing.ndim not in (1, 2) or len(forcing) != grid.n:
+            raise ValueError(f"forcing needs {grid.n} rows, got shape {forcing.shape}")
+        constant = (constant[:, None] if forcing.ndim == 2 else constant) + forcing
+    # iterates keep the constant term's shape: n values, or n x P for a block
+    columns = constant.reshape(grid.n, -1).shape[1]
+    last = {}  # column -> its final iterate
+    traces = [[] for _ in range(columns)]
+    increases = [0] * columns
+    converged = [False] * columns
+    # the running block: its columns' indices, iterates and constant terms
+    active, v, c = np.arange(columns), constant, constant
     for _ in range(max_iter):
-        stepped = picard_step(spec, plan, u, constant)
-        residual = float(np.max(np.abs(stepped.values - u.values)[nodes]))
-        trace.append(residual)
-        u = stepped
-        iterations += 1
-        if residual < tol:
-            converged = True
+        stepped = picard_step(spec, plan, v, c)
+        residuals = np.atleast_1d(np.max(np.abs(stepped - v)[nodes], axis=0))
+        v = stepped
+        keep = []
+        for slot, (j, residual) in enumerate(zip(active.tolist(), residuals.tolist())):
+            if not math.isfinite(residual):
+                raise GridMismatchError("grid function values must be finite")
+            trace = traces[j]
+            trace.append(residual)
+            if residual < tol:
+                converged[j] = True
+                continue
+            keep.append(slot)
+            if len(trace) >= 2 and residual > trace[-2]:
+                increases[j] += 1
+                if increases[j] >= 5:
+                    raise NonContractiveError(
+                        f"residual grew for {increases[j]} consecutive iterations "
+                        f"(last residual {residual:.3e})",
+                        trace,
+                    )
+            else:
+                increases[j] = 0
+        if len(keep) < len(active):
+            block = v.reshape(grid.n, -1)
+            last.update(zip(active.tolist(), block.T))
+            active, v, c = active[keep], block[:, keep], c.reshape(grid.n, -1)[:, keep]
+        if not keep:
             break
-        if len(trace) >= 2 and residual > trace[-2]:
-            increases += 1
-            if increases >= 5:
-                raise NonContractiveError(
-                    f"residual grew for {increases} consecutive iterations "
-                    f"(last residual {residual:.3e})",
-                    trace,
-                )
-        else:
-            increases = 0
+    last.update(zip(active.tolist(), v.reshape(grid.n, -1).T))
 
-    trace = np.asarray(trace)
-    ratios = [
-        trace[m] / trace[m - 1]
-        for m in range(1, len(trace))
-        if trace[m - 1] > 0.0
-    ]
-    estimate = float(max(ratios)) if ratios else 0.0
-    return SolveReport(u, iterations, trace, estimate, converged)
+    reports = tuple(
+        _report(last[j], traces[j], converged[j], grid) for j in range(columns)
+    )
+    return reports if constant.ndim == 2 else reports[0]
 
 
 def _psi_span(spec):

@@ -191,11 +191,13 @@ def hu_bound(spec):
 def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
     """Solve the delta-forced equation u = Omega(u) + I^{alpha;psi}delta.
 
-    delta may be an expression over {t}, an array of nodal values, or a
-    GridFunction.  Admissibility |delta(t_i)| <= envelope(t_i) is enforced
-    at every node and violations are rejected, never silently clipped.
-    Returns the forced solve's SolveReport; the integral-form residual of
-    its solution is I^{alpha;psi}delta by construction.
+    delta may be an expression over {t}, an array of nodal values, an
+    n x P array of P profiles (one per column), or a GridFunction.
+    Admissibility |delta(t_i)| <= envelope(t_i) is enforced at every node
+    of every column and violations are rejected, never silently clipped.
+    Returns the forced solve's SolveReport, or a tuple of P of them for a
+    block (see solve); the integral-form residual of each solution is
+    I^{alpha;psi}delta by construction.
     """
     if plan_alpha is None:
         plan_alpha = build_plan(spec.order.alpha, problem_grid(spec))
@@ -206,17 +208,20 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
         delta_vals = np.asarray(delta, dtype=float)
     else:
         delta_vals = _eval_on(delta, grid.t.shape, {"t": grid.t})
-    if delta_vals.shape != (grid.n,):
+    if delta_vals.ndim not in (1, 2) or len(delta_vals) != grid.n:
         raise InadmissiblePerturbationError(
             f"expected {grid.n} perturbation values, got shape {delta_vals.shape}"
         )
     env = envelope_values(spec, grid)
-    excess = np.abs(delta_vals) - env
-    if np.any(excess > 0.0):
-        worst = int(np.argmax(excess))
+    excess = np.abs(delta_vals.reshape(grid.n, -1)) - env[:, None]
+    bad = np.flatnonzero(np.any(excess > 0.0, axis=0))
+    if bad.size:
+        col = int(bad[0])
+        worst = int(np.argmax(excess[:, col]))
+        where = f" of column {col}" if delta_vals.ndim == 2 else ""
         raise InadmissiblePerturbationError(
-            f"|delta| exceeds the envelope at node {worst} "
-            f"(t={grid.t[worst]:.6g}) by {float(excess[worst]):.3e}"
+            f"|delta| exceeds the envelope at node {worst}{where} "
+            f"(t={grid.t[worst]:.6g}) by {float(excess[worst, col]):.3e}"
         )
     forcing = plan_alpha.apply(delta_vals)
     return solve(spec, tol, max_iter, plan=plan_alpha, forcing=forcing)
@@ -313,8 +318,12 @@ def verify(spec, num_perturbations, rng_seed, tol=1e-10, max_iter=200, M_overrid
     worst = np.zeros(grid.n)
     empirical_max = 0.0
     unconverged = 0
-    for delta_vals in deltas:
-        report = make_perturbed(spec, delta_vals, plan_alpha=plan, tol=tol, max_iter=max_iter)
+    reports = (
+        make_perturbed(spec, np.stack(deltas, axis=1), plan, tol, max_iter)
+        if deltas
+        else ()
+    )
+    for report in reports:
         unconverged += not report.converged
         deviation = np.abs(report.solution.values - base.solution.values)
         worst = np.maximum(worst, deviation)

@@ -537,6 +537,32 @@ def test_sweep_threaded_matches_serial(capsys, problems_dir, tmp_path, monkeypat
 # installed entry point
 
 
+def test_sweep_non_integer_thread_count_names_the_variable(
+    capsys, problems_dir, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("FRAC_NUM_THREADS", "abc")
+    code, _, stderr = run(
+        capsys, "sweep", "--config", str(problems_dir / "hu_linear.json"),
+        "--param", "alpha", "--values", "0.5",
+        "--out", str(tmp_path / "s.csv"), "--n", "33",
+    )
+    assert code == 1
+    assert stderr == "error: FRAC_NUM_THREADS must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", ""])
+def test_sweep_thread_count_clamped_to_one(capsys, problems_dir, tmp_path, monkeypatch,
+                                           threads):
+    monkeypatch.setenv("FRAC_NUM_THREADS", threads)
+    out = str(tmp_path / "s.csv")
+    code, _, _ = run(
+        capsys, "sweep", "--config", str(problems_dir / "hu_linear.json"),
+        "--param", "alpha", "--values", "0.5", "--out", out, "--n", "33",
+    )
+    assert code == 0
+    assert sweep_rows(out)[0][6] == "ok"
+
+
 def test_console_script_smoke(problems_dir, tmp_path):
     exe = shutil.which("frac")
     assert exe is not None, "console script 'frac' must be on PATH"

@@ -9,6 +9,7 @@ from fracstab.exprlang import EvalError, parse, to_source
 from fracstab.psicalc import (
     FractionalOrder,
     GridFunction,
+    GridMismatchError,
     GridTooLargeError,
     build_plan,
 )
@@ -380,6 +381,128 @@ def test_max_iter_without_divergence_reports_unconverged():
     report = solve(spec, tol=1e-14, max_iter=3)
     assert not report.converged
     assert report.iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# block solves: P forced problems iterated as one n x P block
+
+
+def _assert_same_report(block, solo):
+    assert np.array_equal(block.solution.values, solo.solution.values)
+    assert block.iterations == solo.iterations
+    assert np.array_equal(block.residual_trace, solo.residual_trace)
+    assert block.converged == solo.converged
+    assert block.contraction_estimate == solo.contraction_estimate
+
+
+def _forcing_block(grid, scales):
+    return np.stack([s * np.cos((j + 1) * grid.t) for j, s in enumerate(scales)], axis=1)
+
+
+# zero, t-free, t-separable and general (t and s in one factor) kernels
+_BLOCK_KERNELS = ["0", "0.1*exp(-s)*u", "0.03*cos(t)*u", "0.1*exp(s - t)*u"]
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5], ids=["gamma=1", "gamma<1"])
+@pytest.mark.parametrize("k", _BLOCK_KERNELS)
+def test_block_solve_matches_solo_solves(k, beta):
+    # sigma = 0 makes each column's residuals scale with its forcing, so
+    # the columns converge at different steps
+    spec = make_spec(f="-u/2", k=k, beta=beta, sigma=0.0, L_k=0.1, n=129)
+    grid = problem_grid(spec)
+    plan = build_plan(spec.order.alpha, grid)
+    forcing = _forcing_block(grid, [1e-9, 1e-4, 1.0, 0.3])
+    block = solve(spec, plan=plan, forcing=forcing)
+    assert isinstance(block, tuple) and len(block) == 4
+    for j, report in enumerate(block):
+        _assert_same_report(report, solve(spec, plan=plan, forcing=forcing[:, j]))
+    assert len({report.iterations for report in block}) > 1
+    assert all(report.converged for report in block)
+
+
+@pytest.mark.parametrize("k", ["0", "0.1*exp(s - t)*u"])
+def test_block_column_at_max_iter_while_others_converge(k):
+    spec = make_spec(f="-u/2", k=k, sigma=0.0, L_k=0.1, n=65)
+    grid = problem_grid(spec)
+    forcing = _forcing_block(grid, [1e-12, 1.0, 1e-11])
+    block = solve(spec, max_iter=4, forcing=forcing)
+    assert [report.converged for report in block] == [True, False, True]
+    assert block[1].iterations == 4
+    for j, report in enumerate(block):
+        _assert_same_report(report, solve(spec, max_iter=4, forcing=forcing[:, j]))
+
+
+def test_plain_solve_is_the_one_column_block():
+    spec = make_spec(f="-u/2 + sin(t)/4", k="0.03*cos(t)*u", L_k=0.03, n=129)
+    zero = np.zeros((spec.n, 1))
+    (column,) = solve(spec, forcing=zero)
+    _assert_same_report(column, solve(spec))
+
+
+def test_block_divergence_raises_for_the_lowest_diverging_column():
+    # column 0 is unforced (u stays 0 and converges at once); columns 1
+    # and 2 diverge at the same step, column 2 with twice the residuals
+    spec = make_spec(f="3*u", L_f=3.0, sigma=0.0, n=65)
+    grid = problem_grid(spec)
+    forcing = _forcing_block(grid, [0.0, 1.0, 2.0])
+    forcing[:, 2] = 2.0 * forcing[:, 1]
+    with pytest.raises(NonContractiveError) as solo:
+        solve(spec, forcing=forcing[:, 1])
+    with pytest.raises(NonContractiveError) as block:
+        solve(spec, forcing=forcing)
+    assert np.array_equal(block.value.residual_trace, solo.value.residual_trace)
+    assert str(block.value) == str(solo.value)
+
+
+def test_non_finite_iterate_raises_at_that_step(monkeypatch):
+    # I^alpha of 1.7e308 overflows on the first step
+    spec = make_spec(f="1.7e308", L_f=0.0, n=33)
+    steps = []
+    real = solver_module.picard_step
+
+    def spy(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "picard_step", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridMismatchError, match="must be finite"):
+            solve(spec)
+    assert len(steps) == 1
+
+
+def test_picard_step_on_a_block_matches_each_column():
+    spec = make_spec(f="-u/2 + sin(t)/4", k="0.1*exp(s - t)*u", L_k=0.1, n=65)
+    grid = problem_grid(spec)
+    plan = build_plan(spec.order.alpha, grid)
+    constant = prefactor(spec, grid).values
+    block = _forcing_block(grid, [1.0, -0.5, 2.0])
+    stepped = picard_step(spec, plan, block, constant[:, None])
+    assert stepped.shape == block.shape
+    for j in range(block.shape[1]):
+        column = picard_step(spec, plan, GridFunction(grid, block[:, j]), constant)
+        assert isinstance(column, GridFunction)
+        assert np.array_equal(stepped[:, j], column.values)
+
+
+def test_general_kernel_block_peaks_near_one_grid():
+    # the n x n kernel grid is built one column at a time: a block of P
+    # iterates peaks like one iterate, not P of them
+    spec = make_spec(k="0.1*exp(s - t)*u", L_k=0.1, n=400)
+    grid = problem_grid(spec)
+    block = _forcing_block(grid, [1.0] * 8)
+
+    def peak(values):
+        tracemalloc.start()
+        try:
+            solver_module._inner_volterra(spec, grid, values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(block[:, 0])
+    assert peak(block) < 1.25 * one
+    assert one < solver_module.KERNEL_GRID_BYTES * spec.n**2
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,37 @@ def test_wrong_length_delta_rejected():
         make_perturbed(spec, np.zeros(64))
 
 
+def test_block_delta_matches_one_column_at_a_time():
+    spec = make_spec(phi="exp(t)", L_f=0.1, k="0.03*cos(t)*u", L_k=0.03, n=129)
+    grid = problem_grid(spec)
+    plan = plan_for(spec)
+    env = np.exp(grid.t)
+    deltas = np.stack([env, -0.5 * env, env * np.sin(10.0 * grid.t)], axis=1)
+    block = make_perturbed(spec, deltas, plan_alpha=plan)
+    assert len(block) == 3
+    for j, report in enumerate(block):
+        solo = make_perturbed(spec, deltas[:, j], plan_alpha=plan)
+        assert np.array_equal(report.solution.values, solo.solution.values)
+        assert report.iterations == solo.iterations
+        assert np.array_equal(report.residual_trace, solo.residual_trace)
+        assert report.converged == solo.converged
+
+
+def test_inadmissible_block_names_column_and_node():
+    spec = make_spec(epsilon=0.01, n=65)
+    deltas = np.full((spec.n, 4), 0.01)
+    deltas[40, 2] = 0.010000001
+    deltas[50, 3] = -0.02
+    with pytest.raises(InadmissiblePerturbationError, match="node 40 of column 2 "):
+        make_perturbed(spec, deltas)
+
+
+def test_wrong_row_count_block_rejected():
+    spec = make_spec(epsilon=0.01, n=65)
+    with pytest.raises(InadmissiblePerturbationError, match="shape \\(64, 3\\)"):
+        make_perturbed(spec, np.zeros((64, 3)))
+
+
 def test_delta_needs_envelope_or_epsilon():
     spec = make_spec()
     with pytest.raises(ValueError, match="solve-only"):
