@@ -23,9 +23,8 @@ denominator, non-convergence), 3 not certified.
 Config files are strict JSON: unknown keys are rejected by name, so a
 typo like "L_f_" cannot silently weaken a certificate.  All floats in
 CSV output carry 17 significant digits and round-trip exactly; identical
-config and seed give byte-identical outputs.  The environment variable
-FRAC_NUM_THREADS (default 1) caps sweep parallelism; row order always
-matches input order.
+config and seed give byte-identical outputs.  Sweep rows run one after
+another, in input order.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .exprlang import ExprError, parse
 from .psicalc import FractionalOrder, InvalidOrderError
@@ -354,18 +352,7 @@ def cmd_sweep(config_path, param, values, output_path, seed_override=None, n_ove
     # validate the base config once up front so config errors exit 1
     base_doc = _read_doc(config_path)
     problem_from_doc(base_doc, n_override)
-    threads = os.environ.get("FRAC_NUM_THREADS") or "1"
-    try:
-        max_workers = max(1, int(threads))
-    except ValueError:
-        raise ValueError(f"FRAC_NUM_THREADS must be an integer, got {threads!r}") from None
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(
-            pool.map(
-                lambda raw: _sweep_row(base_doc, param, raw, seed_override, n_override),
-                values,
-            )
-        )
+    rows = [_sweep_row(base_doc, param, raw, seed_override, n_override) for raw in values]
     _write_csv(
         output_path, "param_value,M,q,bound_max,empirical_max,certified,status", None, rows
     )

@@ -14,8 +14,10 @@ reproduce (psi(t_i)-psi(0))^mu / Gamma(mu+1) on f == 1 to round-off.
 Because the tau spacing is uniform for every increasing psi, the weights
 are a convolution: w[i,j] depends only on i - j for j >= 1.  Every plan is
 stored in O(n) (column 0 and the lag vector) and applied by FFT in
-O(n log n).  The only n x n array left is the kernel grid of a nonzero
-Volterra kernel in the solver; when that would exceed physical memory,
+O(n log n).  An n x n array is built in two places only: the dense
+QuadraturePlan.weights on demand, and the solver's kernel grid for a
+Volterra kernel that is not t-separable (one that split_kernel cannot
+write as g(t)*h(s, u)).  When either would exceed physical memory,
 GridTooLargeError (a ValueError) names both figures before anything is
 allocated.
 

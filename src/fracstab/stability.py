@@ -194,7 +194,8 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
     delta may be an expression over {t}, an array of nodal values, an
     n x P array of P profiles (one per column), or a GridFunction.
     Admissibility |delta(t_i)| <= envelope(t_i) is enforced at every node
-    of every column and violations are rejected, never silently clipped.
+    of every column (a NaN fails it) and violations are rejected, never
+    silently clipped.
     Returns the forced solve's SolveReport, or a tuple of P of them for a
     block (see solve); the integral-form residual of each solution is
     I^{alpha;psi}delta by construction.
@@ -214,7 +215,8 @@ def make_perturbed(spec, delta, plan_alpha=None, tol=1e-10, max_iter=200):
         )
     env = envelope_values(spec, grid)
     excess = np.abs(delta_vals.reshape(grid.n, -1)) - env[:, None]
-    bad = np.flatnonzero(np.any(excess > 0.0, axis=0))
+    # "not <= 0" so that a NaN in delta is a violation too
+    bad = np.flatnonzero(np.any(~(excess <= 0.0), axis=0))
     if bad.size:
         col = int(bad[0])
         worst = int(np.argmax(excess[:, col]))

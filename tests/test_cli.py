@@ -3,9 +3,11 @@ import csv
 import json
 import shutil
 import subprocess
+import threading
 
 import pytest
 
+import fracstab.cli as cli_module
 from fracstab.cli import main
 from oracles import load_ml_oracle
 
@@ -521,46 +523,34 @@ def test_sweep_invalid_base_config_exits_1(capsys, write_config, tmp_path, base_
     assert "bogus" in stderr
 
 
-def test_sweep_threaded_matches_serial(capsys, problems_dir, tmp_path, monkeypatch):
+def test_sweep_rows_run_in_calling_thread(capsys, problems_dir, tmp_path, monkeypatch):
+    threads = []
+    real = cli_module._certify
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "_certify", spy)
     config = str(problems_dir / "hu_linear.json")
     args = ["sweep", "--config", config, "--param", "alpha",
             "--values", "0.3,0.4,0.5,0.6,0.7", "--n", "129"]
-    serial = tmp_path / "serial.csv"
-    run(capsys, *args, "--out", str(serial))
-    monkeypatch.setenv("FRAC_NUM_THREADS", "4")
-    threaded = tmp_path / "threaded.csv"
-    run(capsys, *args, "--out", str(threaded))
-    assert serial.read_bytes() == threaded.read_bytes()
+    monkeypatch.delenv("FRAC_NUM_THREADS", raising=False)
+    unset = tmp_path / "unset.csv"
+    code, _, _ = run(capsys, *args, "--out", str(unset))
+    assert code == 0
+    for value in ("4", "0", "abc"):
+        monkeypatch.setenv("FRAC_NUM_THREADS", value)
+        out = tmp_path / f"threads-{value}.csv"
+        code, _, _ = run(capsys, *args, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == unset.read_bytes()
+    assert len(threads) == 4 * 5
+    assert all(thread is threading.main_thread() for thread in threads)
 
 
 # ---------------------------------------------------------------------------
 # installed entry point
-
-
-def test_sweep_non_integer_thread_count_names_the_variable(
-    capsys, problems_dir, tmp_path, monkeypatch
-):
-    monkeypatch.setenv("FRAC_NUM_THREADS", "abc")
-    code, _, stderr = run(
-        capsys, "sweep", "--config", str(problems_dir / "hu_linear.json"),
-        "--param", "alpha", "--values", "0.5",
-        "--out", str(tmp_path / "s.csv"), "--n", "33",
-    )
-    assert code == 1
-    assert stderr == "error: FRAC_NUM_THREADS must be an integer, got 'abc'\n"
-
-
-@pytest.mark.parametrize("threads", ["0", "-3", ""])
-def test_sweep_thread_count_clamped_to_one(capsys, problems_dir, tmp_path, monkeypatch,
-                                           threads):
-    monkeypatch.setenv("FRAC_NUM_THREADS", threads)
-    out = str(tmp_path / "s.csv")
-    code, _, _ = run(
-        capsys, "sweep", "--config", str(problems_dir / "hu_linear.json"),
-        "--param", "alpha", "--values", "0.5", "--out", out, "--n", "33",
-    )
-    assert code == 0
-    assert sweep_rows(out)[0][6] == "ok"
 
 
 def test_console_script_smoke(problems_dir, tmp_path):

@@ -166,6 +166,14 @@ def test_inadmissible_delta_rejected_nodewise():
         make_perturbed(spec, delta)
 
 
+def test_nan_delta_rejected_nodewise():
+    spec = make_spec(epsilon=0.01, n=65)
+    delta = np.zeros(spec.n)
+    delta[5] = np.nan
+    with pytest.raises(InadmissiblePerturbationError, match="node 5 "):
+        make_perturbed(spec, delta)
+
+
 def test_wrong_length_delta_rejected():
     spec = make_spec(epsilon=0.01, n=65)
     with pytest.raises(InadmissiblePerturbationError, match="shape"):
@@ -194,6 +202,14 @@ def test_inadmissible_block_names_column_and_node():
     deltas[40, 2] = 0.010000001
     deltas[50, 3] = -0.02
     with pytest.raises(InadmissiblePerturbationError, match="node 40 of column 2 "):
+        make_perturbed(spec, deltas)
+
+
+def test_nan_block_column_rejected():
+    spec = make_spec(epsilon=0.01, n=65)
+    deltas = np.zeros((spec.n, 3))
+    deltas[5, 1] = np.nan
+    with pytest.raises(InadmissiblePerturbationError, match="node 5 of column 1 "):
         make_perturbed(spec, deltas)
 
 
