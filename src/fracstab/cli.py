@@ -226,17 +226,20 @@ def problem_from_doc(doc, n_override=None):
 # Commands
 
 
-def _write_csv(path, header, comment, rows):
-    """Write header, the comment line (if any) and the rows of strings."""
+def _write_csv(path, header, comment, rows=(), columns=()):
+    """Write header, the comment line (if any), then the rows of strings.
+
+    String rows get csv quoting (a status can hold a comma).  Each float
+    array in columns is one column, written row by row with 17 significant
+    digits.
+    """
+    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header + "\n")
         if comment is not None:
             handle.write(f"# {comment}\n")
         csv.writer(handle, lineterminator="\n").writerows(rows)
-
-
-def _fmt_rows(*columns):
-    return ([_fmt(x) for x in row] for row in zip(*columns))
+        handle.writelines(line.format(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def _placeholder_comment(spec, consequence):
@@ -252,7 +255,7 @@ def cmd_solve(config_path, output_path, n_override=None):
         output_path,
         "t,psi_t,u0",
         _placeholder_comment(spec, "the exact value is unbounded for gamma < 1"),
-        _fmt_rows(grid.t, grid.psi_values, report.solution.values),
+        columns=(grid.t, grid.psi_values, report.solution.values),
     )
     residual = report.residual_trace[-1] if len(report.residual_trace) else 0.0
     print(f"iterations: {report.iterations}")
@@ -292,7 +295,7 @@ def cmd_verify(config_path, output_path, seed_override=None, n_override=None):
         _companion_csv_path(output_path),
         "t,u0,bound,worst_deviation",
         _placeholder_comment(spec, "excluded from certification checks"),
-        _fmt_rows(
+        columns=(
             certificate.bound.grid.t,
             certificate.u0.values,
             certificate.bound.values,

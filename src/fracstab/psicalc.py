@@ -26,8 +26,10 @@ compositionally: an integral of order (1-beta)(1-alpha), then d/dtau
 (central differences on the uniform tau grid), then an integral of order
 beta(1-alpha).  Zero-order integrals are the identity.
 
-Grids, plans and grid functions are immutable after construction; all
-operations here are pure functions and safe for concurrent use.
+Grids, plans and grid functions are immutable after construction, and the
+functions here are pure.  A plan's apply is not reentrant across threads:
+it works in scratch arrays kept on the plan, so two threads must not apply
+one plan at the same time.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ class QuadraturePlan:
     _first: np.ndarray = field(repr=False)
     _lags: np.ndarray = field(repr=False)
     _spectrum: np.ndarray = field(repr=False)
+    _scratch: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def weights(self):
@@ -235,23 +238,49 @@ class QuadraturePlan:
         Keeps the monotonicity of the dense product exactly: x >= 0 gives a
         result >= 0.  The positive and negative parts of x are convolved
         separately and each is clipped at 0, so FFT round-off cannot turn
-        a nonnegative sum negative.
+        a nonnegative sum negative.  A part that is zero in every row
+        convolves to exactly zero and is not transformed, so a column of one
+        sign costs one transform pair, not two.
+
+        The parts, their spectra and their convolutions are written into
+        scratch arrays kept on the plan and grown to the largest block seen,
+        so that repeated calls do not allocate and release them each time.
+        The result is a new array, never a view of the scratch; two threads
+        must not apply one plan at the same time.
         """
         x = np.asarray(x, dtype=float)
         n = self.grid.n
         rest = x[1:].reshape(n - 1, -1)
-        parts = np.concatenate([np.maximum(rest, 0.0), np.maximum(-rest, 0.0)], axis=1)
-        size = _fft_length(n)
-        conv = np.fft.irfft(
-            self._spectrum[:, None] * np.fft.rfft(parts, size, axis=0), size, axis=0
-        )[: n - 1]
-        np.maximum(conv, 0.0, out=conv)
         half = rest.shape[1]
+        size = _fft_length(n)
+        parts = self._buffer("parts", (n - 1, 2 * half), float)
+        # the negative part keeps its sign: its convolution is then exactly
+        # minus that of max(-x, 0), and no negated copy of x is needed
+        pos, neg = parts[:, :half], parts[:, half:]
+        np.maximum(rest, 0.0, out=pos)
+        np.minimum(rest, 0.0, out=neg)
+        live = np.flatnonzero(parts.any(axis=0))
+        spectra = self._buffer("spectra", (size // 2 + 1, live.size), complex)
+        conv = self._buffer("conv", (size, live.size), float)
+        np.fft.rfft(parts[:, live], size, axis=0, out=spectra)
+        np.multiply(self._spectrum[:, None], spectra, out=spectra)
+        np.fft.irfft(spectra, size, axis=0, out=conv)
+        parts[:, live] = conv[: n - 1]
+        np.maximum(pos, 0.0, out=pos)
+        np.minimum(neg, 0.0, out=neg)
         out = np.empty((n, half))
         out[0] = 0.0
-        out[1:] = conv[:, :half] - conv[:, half:]
+        np.add(pos, neg, out=out[1:])
         out += self._first[:, None] * x[0]
         return out.reshape(x.shape)
+
+    def _buffer(self, name, shape, dtype):
+        """Scratch of the given shape: a prefix of a flat array kept on the plan."""
+        count = math.prod(shape)
+        flat = self._scratch.get(name)
+        if flat is None or flat.size < count:
+            flat = self._scratch[name] = np.empty(count, dtype)
+        return flat[:count].reshape(shape)
 
 
 def check_memory(nbytes, what):

@@ -116,3 +116,27 @@ def erfc_relaxation(tau):
     and E_{1/2}(-sqrt(x)) = exp(x)*erfc(sqrt(x)).
     """
     return np.array([math.exp(x) * math.erfc(math.sqrt(x)) for x in np.atleast_1d(tau)])
+
+
+def two_part_apply(plan, x):
+    """A quadrature plan's FFT apply that transforms both sign parts of every column.
+
+    The plan's apply as it was before it skipped all-zero parts and kept
+    its temporaries on the plan; the current apply must agree with it
+    bitwise.
+    """
+    x = np.asarray(x, dtype=float)
+    n = plan.grid.n
+    rest = x[1:].reshape(n - 1, -1)
+    parts = np.concatenate([np.maximum(rest, 0.0), np.maximum(-rest, 0.0)], axis=1)
+    size = 1 << (2 * n - 4).bit_length()  # the plan's FFT length
+    conv = np.fft.irfft(
+        plan._spectrum[:, None] * np.fft.rfft(parts, size, axis=0), size, axis=0
+    )[: n - 1]
+    np.maximum(conv, 0.0, out=conv)
+    half = rest.shape[1]
+    out = np.empty((n, half))
+    out[0] = 0.0
+    out[1:] = conv[:, :half] - conv[:, half:]
+    out += plan._first[:, None] * x[0]
+    return out.reshape(x.shape)

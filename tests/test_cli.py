@@ -444,6 +444,20 @@ def test_sweep_invalid_value_continues(capsys, problems_dir, tmp_path):
     assert rows[1][1:6] == [""] * 5
 
 
+def test_sweep_status_with_comma_is_quoted(capsys, problems_dir, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--config", str(problems_dir / "hu_linear.json"),
+        "--param", "n", "--values", "1,65", "--out", str(out),
+    )
+    assert code == 0
+    status = "invalid value: n must be at least 2, got 1"
+    assert f'\n1,,,,,,"{status}"\n' in out.read_text()
+    rows = sweep_rows(str(out))
+    assert rows[0] == ["1", "", "", "", "", "", status]
+    assert rows[1][0] == "65" and rows[1][6] == "ok"
+
+
 def test_sweep_non_finite_value_names_the_key(capsys, problems_dir, tmp_path):
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run(

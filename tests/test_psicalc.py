@@ -18,7 +18,7 @@ from fracstab.psicalc import (
     hilfer_derivative,
     make_grid,
 )
-from oracles import classical_rl_product_trapezoid, tau_difference_weights
+from oracles import classical_rl_product_trapezoid, tau_difference_weights, two_part_apply
 
 PSI_CHOICES = {
     "identity": lambda t: t,
@@ -282,6 +282,62 @@ def test_plan_memory_linear_in_n_for_nonlinear_psi():
     assert plan.apply(np.ones(g.n))[-1] > 0.0
     # O(n) temporaries only: the smallest n^2 array would be 8 TB
     assert peak < 32 * 8 * g.n
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 513])
+def test_apply_matches_two_part_reference(n):
+    # transforming only the parts that are not all zero changes no bit
+    plan = build_plan(0.5, make_grid(1.0, n, PSI_CHOICES["convex"]))
+    rng = np.random.default_rng(n)
+    wide = rng.normal(size=(n, 8))
+    # columns all >= 0, all <= 0, mixed and all zero below node 0
+    block = np.column_stack(
+        [np.abs(wide[:, 0]), -np.abs(wide[:, 1]), wide[:, 2], np.zeros(n)]
+    )
+    block[0] = [1.5, -2.0, 0.5, 3.0]
+    inputs = [block, block[:, :2], -block, wide, np.abs(wide), np.zeros((n, 3))]
+    # vectors, the last a column of a block: with a 64-byte stride, where
+    # numpy 2.4's negative ufunc misreads its input when writing to a strided out
+    inputs += [block[:, j].copy() for j in range(4)] + [wide[:, 5]]
+    for x in inputs:
+        out = plan.apply(x)
+        assert out.shape == x.shape
+        assert np.array_equal(out, two_part_apply(plan, x))
+
+
+def test_apply_scratch_reuse_matches_fresh_plan():
+    # shrinking, then growing, blocks on one plan: each result is a fresh
+    # plan's, and no later call overwrites an earlier result
+    grid = make_grid(1.0, 65, lambda t: t)
+    plan = build_plan(0.5, grid)
+    rng = np.random.default_rng(7)
+    results = []
+    for shape in [(65, 8), (65, 3), (65,), (65, 5), (65, 12)]:
+        x = rng.normal(size=shape)
+        # every other column of one sign: the live part count varies too
+        columns = x.reshape(65, -1)
+        columns[:, ::2] = np.abs(columns[:, ::2])
+        out = plan.apply(x)
+        assert np.array_equal(out, build_plan(0.5, grid).apply(x))
+        results.append((out, out.copy()))
+    for out, snapshot in results:
+        assert np.array_equal(out, snapshot)
+
+
+def test_block_apply_allocates_little_after_warm_up():
+    n, P = 513, 20
+    plan = build_plan(0.5, make_grid(1.0, n, lambda t: t))
+    x = np.random.default_rng(0).normal(size=(n, P))
+    plan.apply(x)  # grows the plan's scratch
+    tracemalloc.start()
+    try:
+        plan.apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the FFT-length temporaries live in the scratch; the result and a few
+    # block-sized copies remain
+    assert peak < 5 * 8 * n * P
 
 
 def test_classical_reduction_against_textbook_oracle():
